@@ -36,7 +36,7 @@ from .taxonomy import (
     parse_error_type,
     validate_feedback,
 )
-from .textnorm import rough_token_count
+from .textnorm import rough_token_count, splits_token
 
 
 class FeedbackMode(str, Enum):
@@ -301,14 +301,21 @@ def _format_feedback_for(code_message: str, slot: int) -> Feedback:
     )
 
 
-def _common_prefix_tokens(previous: str | None, current: str) -> int:
-    if not previous:
-        return 0
-    limit = min(len(previous), len(current))
-    i = 0
-    while i < limit and previous[i] == current[i]:
-        i += 1
-    return rough_token_count(current[:i])
+def _common_prefix_len(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b.
+
+    A binary search whose probes are C-level slice comparisons. Since
+    a[:lo] == b[:lo] holds throughout, each probe compares only the
+    undecided span, so the whole search reads O(len) characters.
+    """
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def _synthesize_step(raw: str, slot: int) -> ReasoningStep:
@@ -317,25 +324,55 @@ def _synthesize_step(raw: str, slot: int) -> ReasoningStep:
 
 
 class _LedgerTracker:
-    """Mutable run-scope wrapper over the immutable ledger updates."""
+    """Mutable run-scope wrapper over the immutable ledger updates.
+
+    When the backend reports no usage, a call's total prompt tokens are
+    estimated as rough_token_count(prompt) and its cached tokens as the
+    rough_token_count of the longest character prefix the prompt shares
+    with the role's previous prompt. A reported prompt_tokens replaces
+    the total estimate, and a reported cached_prompt_tokens the cached
+    one. Both estimates are computed incrementally: each role keeps its
+    previous prompt and that prompt's token count, and the split identity
+    of textnorm.splits_token lets only the text after the shared prefix
+    be tokenized. Counts update_ledger will not read are mostly skipped;
+    a call that needs a prefix count whose base was skipped counts its
+    shared prefix directly.
+    """
 
     def __init__(self) -> None:
         self.ledger = CacheLedger()
-        self._last_prompt: dict[str, str] = {}
+        # role -> (previous prompt, its token count or None if it was skipped)
+        self._last: dict[str, tuple[str, int | None]] = {}
 
     def record(self, role: str, prompt: str, usage) -> None:
-        prefix = _common_prefix_tokens(self._last_prompt.get(role), prompt)
+        estimated = usage.prompt_tokens == 0
+        count: int | None = None
+        prefix = 0
+        if estimated or usage.cached_prompt_tokens == 0:
+            previous, previous_count = self._last.get(role, ("", 0))
+            i = _common_prefix_len(previous, prompt)
+            if previous_count is None or 2 * i <= len(previous):
+                prefix = rough_token_count(prompt[:i])
+            else:  # the previous prompt's tail is the shorter text to count
+                prefix = (
+                    previous_count - rough_token_count(previous[i:]) + splits_token(previous, i)
+                )
+            # An unread total is still counted when its new tail is the
+            # shorter part: the kept count spares the next call a direct
+            # count of its shared prefix.
+            if estimated or 2 * i > len(prompt):
+                count = prefix + rough_token_count(prompt[i:]) - splits_token(prompt, i)
         self.ledger = update_ledger(
-            self.ledger, role, usage, prefix_estimate=prefix,
-            prompt_estimate=rough_token_count(prompt),
+            self.ledger, role, usage, prefix_estimate=prefix, prompt_estimate=count or 0,
         )
-        self._last_prompt[role] = prompt
+        self._last[role] = (prompt, count)
 
 
 def _evaluate(
     evaluator: Backend,
     cfg: LoopConfig,
     instance: QAInstance,
+    passages: str,
     prefix: tuple[ReasoningStep, ...],
     step: ReasoningStep,
     tracker: _LedgerTracker,
@@ -346,7 +383,7 @@ def _evaluate(
         template,
         model_id=cfg.evaluator_model,
         question=instance.question,
-        passages=render_passages(instance),
+        passages=passages,
         previous_steps=render_trajectory(prefix),
         step=render_step(step),
     )
@@ -373,6 +410,7 @@ def _force_answer(
     generator: Backend,
     cfg: LoopConfig,
     instance: QAInstance,
+    passages: str,
     traj: Trajectory,
     tracker: _LedgerTracker,
 ) -> str:
@@ -381,7 +419,7 @@ def _force_answer(
         template,
         model_id=cfg.generator_model,
         question=instance.question,
-        passages=render_passages(instance),
+        passages=passages,
         previous_steps=render_trajectory(traj.steps),
     )
     resp = generator.complete(req)
@@ -413,6 +451,7 @@ def run_instance(
         evaluator = generator
     tracker = _LedgerTracker()
     template = load_prompt("step_generation")
+    passages = render_passages(instance)
     traj = Trajectory(instance_id=instance.id)
     events: list[LoopEvent] = []
     flags: list[str] = []
@@ -433,7 +472,7 @@ def run_instance(
                     template,
                     model_id=cfg.generator_model,
                     question=instance.question,
-                    passages=render_passages(instance),
+                    passages=passages,
                     previous_steps=render_trajectory(traj.steps),
                     feedback=_render_feedback(feedback),
                 )
@@ -465,7 +504,7 @@ def run_instance(
                     events.append(LoopEvent("step_accepted", slot, attempt))
                     break
 
-                fb, flag = _evaluate(evaluator, cfg, instance, traj.steps, step, tracker)
+                fb, flag = _evaluate(evaluator, cfg, instance, passages, traj.steps, step, tracker)
                 ev_calls += 1
                 if fb is None:
                     # Unusable evaluator verdict: accept rather than burn
@@ -500,7 +539,7 @@ def run_instance(
             answer = traj.answer
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer or ""))
         else:
-            answer = _force_answer(generator, cfg, instance, traj, tracker)
+            answer = _force_answer(generator, cfg, instance, passages, traj, tracker)
             gen_calls += 1
             events.append(LoopEvent("answer_forced", len(traj.steps), detail=answer))
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer))

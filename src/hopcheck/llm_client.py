@@ -8,6 +8,7 @@ Backends are safe to call from multiple workers; per-request state only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -48,7 +49,7 @@ class PromptTemplate:
     name: str
     body: str
 
-    @property
+    @functools.cached_property
     def placeholders(self) -> frozenset[str]:
         return frozenset(_PLACEHOLDER_RE.findall(self.body))
 
@@ -63,7 +64,9 @@ class PromptTemplate:
         return _PLACEHOLDER_RE.sub(sub, self.body)
 
 
+@functools.cache
 def load_prompt(name: str) -> PromptTemplate:
+    """The catalog template `name`; read once per process, then shared."""
     if name not in PROMPT_NAMES:
         raise PromptError(f"unknown prompt {name!r}")
     body = resources.files("hopcheck.prompts").joinpath(f"{name}.txt").read_text("utf-8")
@@ -95,7 +98,6 @@ class ChatRequest:
     model_id: str = "default"
     temperature: float = 0.0
     max_tokens: int = 1024
-    cache_prefix_len: int = 0  # advisory, in tokens
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -292,10 +294,6 @@ def _parse_openai_response(body: dict) -> ChatResponse:
             completion_tokens=int(usage.get("completion_tokens", 0)),
         ),
     )
-
-
-def complete(backend: Backend, req: ChatRequest) -> ChatResponse:
-    return backend.complete(req)
 
 
 @dataclass(frozen=True)

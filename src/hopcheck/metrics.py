@@ -71,9 +71,10 @@ def judge(
     raw = obj["is_correct"]
     if isinstance(raw, str):
         token = raw.strip().lower()
-        if token not in ("true", "false", "yes", "no"):
+        # "correct"/"wrong" is what prompts/judge.txt asks for.
+        if token not in ("correct", "wrong", "true", "false", "yes", "no"):
             return JudgeVerdict.UNJUDGED, f"unrecognized is_correct value {raw!r}", True
-        correct = token in ("true", "yes")
+        correct = token in ("correct", "true", "yes")
     else:
         correct = bool(raw)
     verdict = JudgeVerdict.CORRECT if correct else JudgeVerdict.WRONG

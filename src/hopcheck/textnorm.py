@@ -13,6 +13,7 @@ import string
 _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
+_WORD_PAIR_RE = re.compile(r"\w\w")
 
 
 def normalize(text: str) -> str:
@@ -35,3 +36,14 @@ def rough_token_count(text: str) -> int:
     comparable across runs.
     """
     return len(_TOKEN_RE.findall(text))
+
+
+def splits_token(text: str, i: int) -> int:
+    """1 if cutting `text` at `i` falls inside a word token, else 0.
+
+    A rough token is a maximal `\\w` run or one non-space, non-word
+    character, so for every 0 <= i <= len(text):
+    rough_token_count(text) == rough_token_count(text[:i])
+    + rough_token_count(text[i:]) - splits_token(text, i).
+    """
+    return 1 if 0 < i < len(text) and _WORD_PAIR_RE.match(text, i - 1) else 0

@@ -3,6 +3,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopcheck.data_model import Dataset, Passage, QAInstance
 from hopcheck.feedback_loop import (
@@ -16,11 +17,13 @@ from hopcheck.feedback_loop import (
     run_corpus,
     run_instance,
     score_delta,
+    _LedgerTracker,
     update_ledger,
     write_runs,
 )
 from hopcheck.llm_client import ChatRequest, ChatResponse, ScriptedBackend, Usage
 from hopcheck.step_grammar import StepKind, Trajectory
+from hopcheck.textnorm import rough_token_count
 
 
 def make_instance(iid="q1") -> QAInstance:
@@ -271,6 +274,59 @@ def test_run_ledger_accumulates_per_role():
     assert rec.ledger.generator.cached_prompt_tokens > 0
     overall = rec.ledger.overall
     assert overall.calls == 4
+
+
+class _ReferenceTracker:
+    """Slow ledger oracle: a character-by-character prefix scan against the
+    role's previous prompt and a full rough_token_count of each prompt."""
+
+    def __init__(self) -> None:
+        self.ledger = CacheLedger()
+        self.last: dict[str, str] = {}
+
+    def record(self, role, prompt, usage) -> None:
+        previous = self.last.get(role, "")
+        i = 0
+        while i < min(len(previous), len(prompt)) and previous[i] == prompt[i]:
+            i += 1
+        self.ledger = update_ledger(
+            self.ledger, role, usage,
+            prefix_estimate=rough_token_count(prompt[:i]),
+            prompt_estimate=rough_token_count(prompt),
+        )
+        self.last[role] = prompt
+
+
+# Word characters (ASCII, non-ASCII letters and digits, underscore), spaces
+# and non-word characters, including a combining accent.
+_PROMPT_TEXT = st.text(alphabet="abZ09_éßЖ中٣² \n.,(#\u0301", max_size=30)
+_USAGE = st.one_of(
+    st.builds(Usage, completion_tokens=st.integers(0, 9)),
+    st.builds(Usage, prompt_tokens=st.integers(1, 400), completion_tokens=st.integers(0, 9)),
+    st.integers(1, 400).flatmap(
+        lambda total: st.builds(
+            Usage, prompt_tokens=st.just(total),
+            cached_prompt_tokens=st.integers(1, total), completion_tokens=st.integers(0, 9),
+        )
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ledger_tracker_matches_reference(data):
+    tracker, reference = _LedgerTracker(), _ReferenceTracker()
+    for _ in range(data.draw(st.integers(1, 12), label="calls")):
+        role = data.draw(st.sampled_from(("generator", "evaluator")), label="role")
+        # Each prompt keeps a random prefix (cut anywhere, including inside
+        # a word) of the role's previous prompt and appends a fresh tail.
+        base = reference.last.get(role) or data.draw(_PROMPT_TEXT, label="seed")
+        keep = data.draw(st.integers(0, len(base)), label="keep")
+        prompt = base[:keep] + data.draw(_PROMPT_TEXT, label="tail")
+        usage = data.draw(_USAGE, label="usage")
+        tracker.record(role, prompt, usage)
+        reference.record(role, prompt, usage)
+        assert tracker.ledger == reference.ledger
 
 
 def test_run_record_answer_iff_closed():

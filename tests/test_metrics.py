@@ -67,6 +67,19 @@ def test_judge_scripted_verdicts():
     )
     assert verdict is JudgeVerdict.WRONG
 
+    # The verdict words prompts/judge.txt asks for.
+    verdict, reasoning, _ = judge(
+        fifo(json.dumps({"is_correct": "correct", "reasoning": "alias"})),
+        "q", "NYC", ["New York City"],
+    )
+    assert verdict is JudgeVerdict.CORRECT and reasoning == "alias"
+
+    verdict, _, _ = judge(
+        fifo(json.dumps({"is_correct": " Wrong ", "reasoning": "other city"})),
+        "q", "Boston", ["New York City"],
+    )
+    assert verdict is JudgeVerdict.WRONG
+
     verdict, reasoning, _ = judge(fifo("I refuse to answer in JSON"), "q", "x", ["y"])
     assert verdict is JudgeVerdict.UNJUDGED
 
