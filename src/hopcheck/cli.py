@@ -9,16 +9,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data_model import Dataset, QAInstance, load_instances, write_canonical
+from .data_model import Dataset, JudgeVerdict, load_canonical, load_instances, write_canonical
 from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan, write_train
-from .extraction_pipeline import VERIFY_MODES, corpus_stats, verify_instance
-from .feedback_loop import (
-    FeedbackMode,
-    LoopConfig,
-    aggregate_runs,
-    run_corpus,
-    write_runs,
-)
+from .extraction_pipeline import VERIFY_MODES, NoiseStats, corpus_stats, verify_instance
+from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table, write_runs
 from .llm_client import OpenAIBackend, ScriptedBackend
 from .metrics import score_answer
 
@@ -74,15 +68,11 @@ def _merged(config: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> di
     return resolved
 
 
-def _load_corpus(path: str, dataset: str, seed: int) -> list[QAInstance]:
-    return load_instances(path, Dataset(dataset), seed)
-
-
 def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("dataset", "seed"))
     seed = int(resolved.get("seed", 0))
     dataset = resolved.get("dataset", "canonical")
-    instances = _load_corpus(args.infile, dataset, seed)
+    instances = load_instances(args.infile, Dataset(dataset), seed)
     out_dir = Path(args.out)
     _echo_config(out_dir, {**resolved, "command": "ingest", "version": __version__})
     write_canonical(instances, out_dir / "instances.jsonl")
@@ -95,7 +85,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     mode = resolved.get("mode", "deterministic")
     if mode not in VERIFY_MODES:
         raise ConfigError(f"mode must be one of {VERIFY_MODES}")
-    instances = _load_corpus(args.infile, "canonical", 0)
+    instances = load_canonical(args.infile)
     if args.dry_run:
         per = 0
         for inst in instances:
@@ -137,7 +127,7 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
         generator_model=resolved.get("generator_model", "generator"),
         evaluator_model=resolved.get("evaluator_model", "evaluator"),
     )
-    instances = _load_corpus(args.infile, "canonical", 0)
+    instances = load_canonical(args.infile)
     if args.dry_run:
         worst = len(instances) * (
             cfg.max_steps * (cfg.max_retries + 1) * 2 + 1
@@ -168,7 +158,7 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("total", "seed", "ideal_fraction", "model"))
-    instances = _load_corpus(args.infile, "canonical", 0)
+    instances = load_canonical(args.infile)
     total = int(resolved.get("total", 100))
     if args.dry_run:
         worst = len(instances) * 2 + total
@@ -203,7 +193,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_score(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("judge", "model"))
-    instances = {inst.id: inst for inst in _load_corpus(args.infile, "canonical", 0)}
+    instances = {inst.id: inst for inst in load_canonical(args.infile)}
     with open(args.runs, encoding="utf-8") as fh:
         runs = [json.loads(line) for line in fh if line.strip()]
     use_judge = resolved.get("judge", "off") == "on"
@@ -217,8 +207,7 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
         "command": "score", "version": __version__,
     })
     rows = []
-    scores = {}
-    datasets = {}
+    table_rows = []
     for run in runs:
         inst = instances.get(run["instance_id"])
         if inst is None:
@@ -228,7 +217,7 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
             pred, inst.gold_answers, backend=backend, question=inst.question,
             model_id=resolved.get("model", "default"),
         )
-        row = {
+        rows.append({
             "instance_id": inst.id,
             "dataset": inst.dataset.value,
             "pred": pred,
@@ -236,58 +225,30 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
             "f1": round(verdict.f1, 6),
             "judge": verdict.judge.value,
             "judge_reasoning": verdict.judge_reasoning,
-        }
-        rows.append(row)
-        acc_row = {"em": float(verdict.em), "f1": verdict.f1}
-        if verdict.judge.value != "Unjudged":
-            acc_row["acc"] = 1.0 if verdict.judge.value == "Correct" else 0.0
-        scores[inst.id] = acc_row
-        datasets[inst.id] = inst.dataset.value
+        })
+        table_row = {"dataset": inst.dataset.value, "em": float(verdict.em), "f1": verdict.f1}
+        if verdict.judge is not JudgeVerdict.UNJUDGED:
+            table_row["acc"] = float(verdict.judge is JudgeVerdict.CORRECT)
+        table_rows.append(table_row)
     with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    table: dict = {}
-    for name in sorted(set(datasets.values())):
-        ids = [i for i, d in datasets.items() if d == name]
-        table[name] = {
-            "em": round(sum(scores[i]["em"] for i in ids) / len(ids), 4),
-            "f1": round(sum(scores[i]["f1"] for i in ids) / len(ids), 4),
-        }
-        judged = [i for i in ids if "acc" in scores[i]]
-        if judged:
-            table[name]["acc"] = round(sum(scores[i]["acc"] for i in judged) / len(judged), 4)
-        table[name]["unjudged"] = len(ids) - len(judged)
-    _write_json(out_dir / "aggregate.json", {"table": table, "rows": len(rows)})
+    _write_json(out_dir / "aggregate.json", {"table": score_table(table_rows), "rows": len(rows)})
     print(f"scored {len(rows)} runs")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     del config
-    total = 0
-    noisy = 0
-    by_label: dict[str, int] = {}
     with open(args.infile, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            label = row.get("noise_label")
-            if label is None:
-                continue
-            total += 1
-            by_label[label] = by_label.get(label, 0) + 1
-            if label != "Grounded":
-                noisy += 1
-    percent = round(100.0 * noisy / total, 2) if total else 0.0
-    print(f"{percent:.2f}%")
+        stats = NoiseStats.from_labels(
+            json.loads(line).get("noise_label") for line in fh if line.strip()
+        )
+    print(f"{stats.percent:.2f}%")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "noise_stats.json", {
-            "total": total, "noisy": noisy,
-            "noise_percent": percent, "by_label": dict(sorted(by_label.items())),
-        })
+        _write_json(out_dir / "noise_stats.json", stats.to_dict())
     return 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .data_model import QAInstance
 from .kg_graph import (
@@ -407,6 +408,19 @@ class NoiseStats:
     def percent(self) -> float:
         return round(100.0 * self.noisy / self.total, 2) if self.total else 0.0
 
+    @classmethod
+    def from_labels(cls, labels: Iterable[str | None]) -> NoiseStats:
+        """Counts over noise-label values; None marks an unverified instance.
+        Invariant under label order."""
+        counts = Counter(labels)
+        unverified = counts.pop(None, 0)
+        return cls(
+            total=sum(counts.values()),
+            noisy=sum(n for label, n in counts.items() if label != NoiseLabel.GROUNDED.value),
+            by_label=tuple(sorted(counts.items())),
+            unverified=unverified,
+        )
+
     def to_dict(self) -> dict:
         return {
             "total": self.total,
@@ -420,17 +434,4 @@ class NoiseStats:
 
 def corpus_stats(reports: list[InstanceReport]) -> NoiseStats:
     """Corpus noise counts; invariant under report order."""
-    labels = Counter()
-    unverified = 0
-    for report in reports:
-        if report.noise_label is None:
-            unverified += 1
-        else:
-            labels[report.noise_label.value] += 1
-    noisy = sum(n for label, n in labels.items() if label != NoiseLabel.GROUNDED.value)
-    return NoiseStats(
-        total=sum(labels.values()),
-        noisy=noisy,
-        by_label=tuple(sorted(labels.items())),
-        unverified=unverified,
-    )
+    return NoiseStats.from_labels(r.noise_label and r.noise_label.value for r in reports)

@@ -12,12 +12,18 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import statistics
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .data_model import QAInstance
-from .llm_client import Backend, ParseFailure, build_request, load_prompt, parse_structured_verdict
+from .llm_client import (
+    Backend,
+    ParseFailure,
+    TransportError,
+    build_request,
+    load_prompt,
+    parse_structured_verdict,
+)
 from .step_grammar import (
     ReasoningStep,
     StepFormatError,
@@ -543,7 +549,7 @@ def run_instance(
             gen_calls += 1
             events.append(LoopEvent("answer_forced", len(traj.steps), detail=answer))
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer))
-    except Exception as exc:  # backend hard failure: keep the partial record
+    except TransportError as exc:  # backend hard failure: keep the partial record
         aborted = True
         flags.append(f"aborted:{type(exc).__name__}")
         answer = None
@@ -567,6 +573,30 @@ def score_delta(baseline_mean: float, treatment_mean: float) -> float:
     return round(treatment_mean - baseline_mean, 1)
 
 
+def score_table(rows: list[dict], baseline_mean: float | None = None) -> dict:
+    """Per-dataset score table over rows {"dataset", "em", "f1"[, "acc"]}.
+
+    Each metric is the mean over the dataset's rows that carry it; rows
+    without "acc" count as unjudged. When every row is judged, an
+    "average" row holds the mean acc over all rows and, given a baseline
+    mean in points, the delta against it.
+    """
+    table: dict = {}
+    for name in sorted({r["dataset"] for r in rows}):
+        group = [r for r in rows if r["dataset"] == name]
+        table[name] = {"unjudged": sum(1 for r in group if "acc" not in r)}
+        for metric in ("em", "f1", "acc"):
+            values = [r[metric] for r in group if metric in r]
+            if values:
+                table[name][metric] = round(sum(values) / len(values), 4)
+    if rows and all("acc" in r for r in rows):
+        mean_acc = sum(r["acc"] for r in rows) / len(rows)
+        table["average"] = {"acc": round(mean_acc, 4)}
+        if baseline_mean is not None:
+            table["average"]["delta_vs_baseline"] = score_delta(baseline_mean, 100.0 * mean_acc)
+    return table
+
+
 def aggregate_runs(
     records: list[RunRecord],
     scores: dict[str, dict[str, float]] | None = None,
@@ -576,11 +606,12 @@ def aggregate_runs(
     """Order-independent corpus aggregate.
 
     scores maps instance id -> {"em": .., "f1": .., "acc": ..} (from the
-    scoring module); datasets maps instance id -> dataset name. The
-    optional baseline mean yields a delta row.
+    scoring module); datasets maps instance id -> dataset name. With
+    scores, "table" is the score_table of the scored records.
     """
+    records = sorted(records, key=lambda r: r.instance_id)
     ledger = CacheLedger()
-    for rec in sorted(records, key=lambda r: r.instance_id):
+    for rec in records:
         ledger = ledger.merge(rec.ledger)
     out: dict = {
         "runs": len(records),
@@ -591,30 +622,12 @@ def aggregate_runs(
         "ledger": ledger.to_dict(),
     }
     if scores:
-        by_dataset: dict[str, list[dict[str, float]]] = {}
-        for rec in records:
-            row = scores.get(rec.instance_id)
-            if row is None:
-                continue
-            name = (datasets or {}).get(rec.instance_id, "all")
-            by_dataset.setdefault(name, []).append(row)
-        table = {}
-        for name in sorted(by_dataset):
-            rows = by_dataset[name]
-            table[name] = {
-                metric: round(statistics.fmean(r[metric] for r in rows), 4)
-                for metric in ("em", "f1", "acc")
-                if all(metric in r for r in rows)
-            }
-        all_rows = [r for rows in by_dataset.values() for r in rows]
-        if all_rows and all("acc" in r for r in all_rows):
-            mean_acc = statistics.fmean(r["acc"] for r in all_rows)
-            table["average"] = {"acc": round(mean_acc, 4)}
-            if baseline_mean is not None:
-                table["average"]["delta_vs_baseline"] = score_delta(
-                    baseline_mean, 100.0 * mean_acc if mean_acc <= 1.0 else mean_acc
-                )
-        out["table"] = table
+        rows = [
+            {**scores[r.instance_id], "dataset": (datasets or {}).get(r.instance_id, "all")}
+            for r in records
+            if r.instance_id in scores
+        ]
+        out["table"] = score_table(rows, baseline_mean)
     return out
 
 

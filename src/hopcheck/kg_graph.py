@@ -138,9 +138,7 @@ class LocalizedKG:
     edges: tuple[Edge, ...] = ()
     adjacency: dict[str, tuple[tuple[str, str, str], ...]] = field(default_factory=dict)
     # adjacency[key] = ((neighbor_key, relation, edge_id), ...) both directions
-
-    def edge_between(self, a: str, b: str) -> list[Edge]:
-        return [e for e in self.edges if {canonical_key(e.head), canonical_key(e.tail)} == {a, b}]
+    aliases: dict[str, str] = field(default_factory=dict)  # member key -> group canonical label
 
     def degree(self, key: str) -> int:
         return len({n for n, _, _ in self.adjacency.get(key, ())})
@@ -192,23 +190,19 @@ def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
     Idempotent: rebuilding from the output triples with the same groups
     is a fixed point.
     """
-    rep_label: dict[str, str] = {}  # canonical key -> group canonical label
-    seen_in_group: dict[str, str] = {}
+    aliases: dict[str, str] = {}
     for group in groups:
+        group_key = canonical_key(group.canonical)
         for member in group.members:
             key = canonical_key(member)
-            if key in seen_in_group and seen_in_group[key] != canonical_key(group.canonical):
+            if key in aliases and canonical_key(aliases[key]) != group_key:
                 raise OverlappingAliasGroupsError(member)
-            seen_in_group[key] = canonical_key(group.canonical)
-    member_to_canonical: dict[str, str] = {}
-    for group in groups:
-        for member in group.members:
-            member_to_canonical[canonical_key(member)] = group.canonical
+            aliases[key] = group.canonical
 
     labels: dict[str, str] = {}
 
     def resolve(surface: str) -> tuple[str, str]:
-        canon = member_to_canonical.get(canonical_key(surface), surface)
+        canon = aliases.get(canonical_key(surface), surface)
         key = canonical_key(canon)
         label = labels.setdefault(key, canon)
         return key, label
@@ -247,19 +241,17 @@ def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
         nodes=dict(labels),
         edges=edges,
         adjacency=frozen_adj,
+        aliases=aliases,
     )
 
 
 def _match_question_entities(kg: LocalizedKG, question_entities: set[str]) -> list[str]:
     """Question entities map to nodes by normalized equality (aliases included)."""
-    member_keys: dict[str, str] = {}
-    for group in kg.resolution:
-        for member in group.members:
-            member_keys[canonical_key(member)] = canonical_key(group.canonical)
     matched = set()
     for entity in question_entities:
         key = canonical_key(entity)
-        key = member_keys.get(key, key)
+        if key in kg.aliases:
+            key = canonical_key(kg.aliases[key])
         if key in kg.adjacency:
             matched.add(key)
     return sorted(matched)
@@ -297,7 +289,6 @@ def _path_triples(kg: LocalizedKG, edge_ids: tuple[str, ...]) -> tuple[Triple, .
     return tuple(kg.edges[int(i)].triple() for i in edge_ids)
 
 
-_YEAR_RE = re.compile(r"\b(1[0-9]{3}|20[0-9]{2})\b")
 _NUMBER_RE = re.compile(r"^-?[\d,]+(?:\.\d+)?$")
 _MONTHS = {
     m: i + 1
@@ -551,16 +542,12 @@ def _parallel_verdict(kg: LocalizedKG, branches: list[_Branch], how: str) -> Pat
     )
 
 
-def _question_content_tokens(question: str) -> frozenset[str]:
-    return content_tokens(question)
-
-
 def _complete_contradicting_chain(
     kg: LocalizedKG, entity_keys: list[str], question: str, answer: str
 ) -> bool:
     """A chain from a question entity ends at a leaf whose final relation
     echoes the question but whose value contradicts the gold answer."""
-    q_tokens = _question_content_tokens(question)
+    q_tokens = content_tokens(question)
     wants_place = bool(re.search(r"\bwhere\b|\bplace\b|\bcity\b", question.lower()))
     wants_time = bool(re.search(r"\bwhen\b|\byear\b|\bdate\b", question.lower()))
     for start in entity_keys:

@@ -260,8 +260,9 @@ class OpenAIBackend:
                 continue
             if resp.status_code == 429:
                 last_error = "rate limited"
-                retry_after = resp.headers.get("Retry-After")
-                self._backoff(attempt, float(retry_after) if retry_after else None)
+                # Delay-seconds only; the HTTP-date form falls back to backoff.
+                retry_after = resp.headers.get("Retry-After", "")
+                self._backoff(attempt, float(retry_after) if retry_after.isdigit() else None)
                 continue
             if resp.status_code >= 500:
                 last_error = f"server error {resp.status_code}"
@@ -269,7 +270,10 @@ class OpenAIBackend:
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}", attempts)
-            return _parse_openai_response(resp.json())
+            try:
+                return _parse_openai_response(resp.json())
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise TransportError(f"malformed completion body: {exc!r}", attempts) from exc
         raise TransportError(last_error, attempts)
 
     def _backoff(self, attempt: int, retry_after: float | None) -> None:
@@ -282,6 +286,8 @@ class OpenAIBackend:
 
 def _parse_openai_response(body: dict) -> ChatResponse:
     text = body["choices"][0]["message"]["content"]
+    if not isinstance(text, str):
+        raise TypeError(f"message content is {type(text).__name__}, not a string")
     usage = body.get("usage") or {}
     prompt_tokens = int(usage.get("prompt_tokens", 0))
     details = usage.get("prompt_tokens_details") or {}
@@ -305,75 +311,38 @@ class ParseFailure:
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
+def _first_json(text: str, opener: str, what: str) -> dict | list | ParseFailure:
+    """The JSON value opening at the first `opener` of the first fenced
+    block that holds one, else of the whole text; never repairs JSON."""
+    candidates = [(m.start(1), m.group(1)) for m in _FENCE_RE.finditer(text)]
+    for base, candidate in candidates + [(0, text)]:
+        start = candidate.find(opener)
+        if start < 0:
+            continue
+        try:
+            return json.JSONDecoder().raw_decode(candidate, start)[0]
+        except json.JSONDecodeError:
+            return ParseFailure(f"malformed {what}", base + start)
+    return ParseFailure(f"no {what} found", 0)
+
+
 def parse_structured_verdict(
     text: str, required_keys: tuple[str, ...] = ()
 ) -> dict | ParseFailure:
-    """Extract the outermost JSON object from a completion.
-
-    Strips code fences and surrounding prose; never repairs malformed
-    JSON bodies. Returns ParseFailure with the character offset of the
-    candidate object on failure.
-    """
-    candidates = [m.group(1) for m in _FENCE_RE.finditer(text)]
-    for candidate in candidates + [text]:
-        start = candidate.find("{")
-        if start < 0:
-            continue
-        obj, _end = _scan_object(candidate, start)
-        if obj is None:
-            base_offset = text.find(candidate) if candidate is not text else 0
-            return ParseFailure("malformed object", base_offset + start)
-        missing = [k for k in required_keys if k not in obj]
-        if missing:
-            return ParseFailure(f"missing keys: {', '.join(missing)}", start)
+    """Extract the first JSON object from a completion, ignoring code
+    fences and surrounding prose, and check it has `required_keys`."""
+    obj = _first_json(text, "{", "object")
+    if isinstance(obj, ParseFailure):
         return obj
-    return ParseFailure("no object found", 0)
-
-
-def _scan_object(text: str, start: int) -> tuple[dict | None, int]:
-    depth = 0
-    in_string = False
-    escape = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                try:
-                    return json.loads(text[start : i + 1]), i + 1
-                except json.JSONDecodeError:
-                    return None, i + 1
-    return None, len(text)
+    missing = [k for k in required_keys if k not in obj]
+    if missing:
+        return ParseFailure(f"missing keys: {', '.join(missing)}", 0)
+    return obj
 
 
 def parse_json_list(text: str) -> list | ParseFailure:
-    """Extract the outermost JSON array (triple lists, plan step lists)."""
-    candidates = [m.group(1) for m in _FENCE_RE.finditer(text)]
-    for candidate in candidates + [text]:
-        start = candidate.find("[")
-        if start < 0:
-            continue
-        decoder = json.JSONDecoder()
-        try:
-            value, _ = decoder.raw_decode(candidate[start:])
-        except json.JSONDecodeError:
-            return ParseFailure("malformed array", start)
-        if isinstance(value, list):
-            return value
-        return ParseFailure("not an array", start)
-    return ParseFailure("no array found", 0)
+    """Extract the first JSON array (triple lists, plan step lists)."""
+    return _first_json(text, "[", "array")
 
 
 def build_request(

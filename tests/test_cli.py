@@ -138,6 +138,9 @@ def test_verify_benchmark_over_fixture_pack(tmp_path, capsys):
     assert stats["noise_percent"] == expected
     for inst in instances:
         assert (out / "kg" / f"{inst.id}.jsonl").exists()
+    stats_out = tmp_path / "stats"
+    assert main(["stats", "--in", str(out / "reports.jsonl"), "--out", str(stats_out)]) == 0
+    assert (stats_out / "noise_stats.json").read_bytes() == (out / "noise_stats.json").read_bytes()
 
 
 def test_score_judge_off(tmp_path, capsys):
@@ -159,6 +162,41 @@ def test_score_judge_off(tmp_path, capsys):
     agg = json.loads((out / "aggregate.json").read_text())
     assert agg["table"]["hotpotqa"]["em"] == 0.5
     assert agg["table"]["hotpotqa"]["unjudged"] == 2  # judge off: all unjudged
+
+
+def _score_with_judge(tmp_path, judge_replies):
+    tmp_path.mkdir()
+    instances = [make_instance(iid, answer="Paris") for iid in ("a", "b", "c")]
+    corpus = write_corpus(tmp_path / "c.jsonl", instances)
+    runs = tmp_path / "runs.jsonl"
+    # No prediction is byte-equal to the gold, so every row asks the judge.
+    runs.write_text("".join(
+        json.dumps({"instance_id": iid, "answer": pred}) + "\n"
+        for iid, pred in (("a", "paris"), ("b", "Lyon"), ("c", "Paris France"))
+    ))
+    cfg = tmp_path / "cfg.json"
+    fixture = write_fixture(tmp_path / "judge.json", judge_replies)
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+    out = tmp_path / "out"
+    assert main(["score", "--runs", str(runs), "--in", corpus, "--judge", "on",
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [json.loads(l) for l in (out / "scores.jsonl").read_text().splitlines()]
+    return [r["judge"] for r in rows], json.loads((out / "aggregate.json").read_text())["table"]
+
+
+def test_score_judge_on_table(tmp_path):
+    correct, wrong = '{"is_correct": "correct"}', '{"is_correct": "wrong"}'
+    verdicts, table = _score_with_judge(tmp_path / "mixed", [correct, wrong, "no verdict here"])
+    assert verdicts == ["Correct", "Wrong", "Unjudged"]
+    assert table["hotpotqa"]["acc"] == 0.5  # over the two judged rows only
+    assert table["hotpotqa"]["unjudged"] == 1
+    assert table["hotpotqa"]["em"] == round(1 / 3, 4)
+    assert "average" not in table
+
+    verdicts, table = _score_with_judge(tmp_path / "judged", [correct, wrong, correct])
+    assert verdicts == ["Correct", "Wrong", "Correct"]
+    assert table["hotpotqa"]["unjudged"] == 0
+    assert table["average"] == {"acc": round(2 / 3, 4)}
 
 
 def test_score_unknown_instance_errors(tmp_path):

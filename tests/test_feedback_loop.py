@@ -218,6 +218,14 @@ def test_backend_hard_failure_aborts_with_partial_record():
     assert any(f.startswith("aborted:") for f in rec.flags)
 
 
+def test_programming_error_in_backend_propagates():
+    def broken(req):
+        raise KeyError("choices")
+
+    with pytest.raises(KeyError):
+        run_instance(LoopConfig(), make_instance(), ScriptedBackend(responder=broken))
+
+
 def test_update_ledger_reported_counts_win():
     ledger = update_ledger(CacheLedger(), "generator", Usage(100, 40, 10), prefix_estimate=999)
     assert ledger.generator.total_prompt_tokens == 100

@@ -1,8 +1,10 @@
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopcheck.llm_client import (
     PROMPT_NAMES,
@@ -112,6 +114,101 @@ def test_parse_json_list():
     assert isinstance(parse_json_list("[1, 2,"), ParseFailure)
 
 
+# Reference: the brace-scanning parsers that _first_json replaced, kept
+# to pin down that the merge changed no value and no failure reason.
+_REF_FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+
+
+def _ref_scan_object(text, start):
+    depth, in_string, escape = 0, False, False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escape:
+                escape = False
+            elif ch == "\\":
+                escape = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                try:
+                    return json.loads(text[start : i + 1])
+                except json.JSONDecodeError:
+                    return None
+    return None
+
+
+def _ref_parse_structured_verdict(text, required_keys=()):
+    for candidate in [m.group(1) for m in _REF_FENCE_RE.finditer(text)] + [text]:
+        start = candidate.find("{")
+        if start < 0:
+            continue
+        obj = _ref_scan_object(candidate, start)
+        if obj is None:
+            return ParseFailure("malformed object", 0)
+        missing = [k for k in required_keys if k not in obj]
+        if missing:
+            return ParseFailure(f"missing keys: {', '.join(missing)}", 0)
+        return obj
+    return ParseFailure("no object found", 0)
+
+
+def _ref_parse_json_list(text):
+    for candidate in [m.group(1) for m in _REF_FENCE_RE.finditer(text)] + [text]:
+        start = candidate.find("[")
+        if start < 0:
+            continue
+        try:
+            value, _ = json.JSONDecoder().raw_decode(candidate[start:])
+        except json.JSONDecodeError:
+            return ParseFailure("malformed array", 0)
+        return value if isinstance(value, list) else ParseFailure("not an array", 0)
+    return ParseFailure("no array found", 0)
+
+
+def _outcome(result):
+    """Comparable form: the failure reason, or the value's repr (NaN != NaN)."""
+    return ("fail", result.reason) if isinstance(result, ParseFailure) else ("ok", repr(result))
+
+
+_JSONISH_ATOMS = [
+    "{", "}", "[", "]", '"', "\\", "```", "```json\n", "\n", " ", ":", ",", "NaN", "-",
+    "1", "2.5", "true", "null", "'", '"a"', '"b"', "\\u00e9", "x", "}}", "[[",
+    '{"a": ', '"b": ', '{"is_correct": ', ", ",
+]
+
+
+_atoms = st.lists(st.sampled_from(_JSONISH_ATOMS), max_size=20).map("".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text('{}[]"\\ab`', max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["a", "b", "is_correct", "}{"]), inner, max_size=3),
+    max_leaves=8,
+)
+_embedded = st.tuples(_atoms, _json_values.map(json.dumps), _atoms, st.booleans()).map(
+    lambda t: f"{t[0]}```json\n{t[1]}```{t[2]}" if t[3] else t[0] + t[1] + t[2]
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    text=_atoms | _embedded,
+    required_keys=st.sampled_from([(), ("a",), ("a", "b"), ("is_correct",)]),
+)
+def test_json_extraction_matches_brace_scanner_reference(text, required_keys):
+    assert _outcome(parse_structured_verdict(text, required_keys)) == _outcome(
+        _ref_parse_structured_verdict(text, required_keys)
+    )
+    assert _outcome(parse_json_list(text)) == _outcome(_ref_parse_json_list(text))
+
+
 def test_build_request_renders_single_system_message():
     req = build_request(load_prompt("judge"), question="q", predicted="p", gold_answers="[]")
     assert len(req.messages) == 1
@@ -120,17 +217,20 @@ def test_build_request_renders_single_system_message():
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):
-    behaviors = []  # list of status codes; 200 serves a real completion
+    behaviors = []  # status codes (200: a real completion) or bytes sent as a 200 body
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
         status = self.behaviors.pop(0) if self.behaviors else 200
+        if isinstance(status, bytes):
+            self._send_body(status)
+            return
         if status != 200:
             self.send_response(status)
             self.send_header("Retry-After", "0")
             self.end_headers()
             return
-        body = json.dumps(
+        self._send_body(json.dumps(
             {
                 "choices": [{"message": {"content": "pong"}}],
                 "usage": {
@@ -139,7 +239,9 @@ class _FlakyHandler(BaseHTTPRequestHandler):
                     "prompt_tokens_details": {"cached_tokens": 4},
                 },
             }
-        ).encode()
+        ).encode())
+
+    def _send_body(self, body):
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -168,6 +270,27 @@ def test_openai_backend_retries_429_then_succeeds(http_server):
     assert resp.usage == Usage(prompt_tokens=10, cached_prompt_tokens=4, completion_tokens=2)
     assert backend.retry_count == 2
     assert sleeps == [0.0, 0.0]  # Retry-After honored
+
+
+def test_openai_backend_http_date_retry_after_backs_off():
+    class Reply:
+        def __init__(self, status, headers=None):
+            self.status_code, self.headers = status, headers or {}
+
+        def json(self):
+            return {"choices": [{"message": {"content": "pong"}}]}
+
+    replies = [Reply(429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}), Reply(200)]
+
+    class Session:
+        def post(self, *args, **kwargs):
+            return replies.pop(0)
+
+    sleeps = []
+    backend = OpenAIBackend("http://unused", backoff_base=0.25, sleep=sleeps.append,
+                            session=Session())
+    assert backend.complete(_req()).text == "pong"
+    assert sleeps == [0.25]  # the date form falls back to exponential backoff
 
 
 def test_openai_backend_retries_5xx(http_server):
@@ -199,3 +322,22 @@ def test_openai_backend_connection_failure_bounded():
     with pytest.raises(TransportError) as exc:
         backend.complete(_req())
     assert exc.value.attempts == 2
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"<html>not json</html>",
+        b'{"id": "x"}',
+        b'{"choices": []}',
+        b'{"choices": [{"message": {"content": null}}]}',
+        b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": "many"}}',
+        b'{"choices": [{"message": {"content": "pong"}}], "usage": {"prompt_tokens": -3}}',
+    ],
+)
+def test_openai_backend_malformed_200_is_transport_error(http_server, body):
+    _FlakyHandler.behaviors = [body]
+    backend = OpenAIBackend(http_server, max_retries=2, sleep=lambda s: None)
+    with pytest.raises(TransportError, match="malformed completion body") as exc:
+        backend.complete(_req())
+    assert exc.value.attempts == 1
