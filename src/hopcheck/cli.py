@@ -11,7 +11,9 @@ from pathlib import Path
 from . import __version__
 from .data_model import Dataset, JudgeVerdict, load_canonical, load_instances, write_canonical
 from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan, write_train
-from .extraction_pipeline import VERIFY_MODES, NoiseStats, corpus_stats, verify_instance
+from .extraction_pipeline import (
+    MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, corpus_stats, verify_instance,
+)
 from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table, write_runs
 from .llm_client import OpenAIBackend, ScriptedBackend
 from .metrics import score_answer
@@ -53,9 +55,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
 
 
-def _echo_config(out_dir: Path, resolved: dict) -> None:
+def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
+    """resolved_config.json: the settings without backend specs, plus command and version."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "resolved_config.json", resolved)
+    echo = {k: v for k, v in resolved.items() if k not in ("backend", "evaluator_backend")}
+    echo.update(command=command, version=__version__)
+    _write_json(out_dir / "resolved_config.json", echo)
 
 
 def _merged(config: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -74,7 +79,7 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     dataset = resolved.get("dataset", "canonical")
     instances = load_instances(args.infile, Dataset(dataset), seed)
     out_dir = Path(args.out)
-    _echo_config(out_dir, {**resolved, "command": "ingest", "version": __version__})
+    _echo_config(out_dir, "ingest", resolved)
     write_canonical(instances, out_dir / "instances.jsonl")
     print(f"ingested {len(instances)} instances")
     return 0
@@ -90,12 +95,12 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
         per = 0
         for inst in instances:
             gold = len(inst.gold_passages)
-            per += gold * 3 + 1 + (1 if mode != "deterministic" else 0)
+            per += gold * (1 + MAX_GLEANING_ROUNDS) + 1 + (1 if mode != "deterministic" else 0)
         print(f"dry-run: at most {per} backend requests over {len(instances)} instances")
         return 0
     backend = _build_backend(resolved.get("backend"))
     out_dir = Path(args.out)
-    _echo_config(out_dir, {**resolved, "command": "verify-benchmark", "version": __version__})
+    _echo_config(out_dir, "verify-benchmark", resolved)
     (out_dir / "kg").mkdir(exist_ok=True)
     reports = []
     with open(out_dir / "reports.jsonl", "w", encoding="utf-8") as rep_fh, open(
@@ -141,10 +146,8 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
         else generator
     )
     out_dir = Path(args.out)
-    _echo_config(out_dir, {
-        **{k: v for k, v in resolved.items() if k not in ("backend", "evaluator_backend")},
-        "command": "run", "version": __version__,
-        "k": cfg.max_steps, "n": cfg.max_retries, "mode": cfg.mode.value,
+    _echo_config(out_dir, "run", {
+        **resolved, "k": cfg.max_steps, "n": cfg.max_retries, "mode": cfg.mode.value,
     })
     records, aggregate = run_corpus(
         cfg, instances, generator, evaluator, workers=int(resolved.get("workers", 1))
@@ -179,12 +182,9 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
     if args.refined:
         with open(args.refined, encoding="utf-8") as fh:
             refined = [json.loads(line) for line in fh if line.strip()]
-    examples, manifest = build_dataset(backend, pool, dataset_cfg, refined)
+    examples, manifest = build_dataset(backend, pool, dataset_cfg, refined, model_id)
     out_dir = Path(args.out)
-    _echo_config(out_dir, {
-        **{k: v for k, v in resolved.items() if k != "backend"},
-        "command": "synthesize", "version": __version__,
-    })
+    _echo_config(out_dir, "synthesize", resolved)
     write_train(examples, out_dir / "train.jsonl")
     _write_json(out_dir / "manifest.json", manifest)
     print(f"synthesized {manifest['total']} examples")
@@ -202,10 +202,7 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
         return 0
     backend = _build_backend(resolved.get("backend")) if use_judge else None
     out_dir = Path(args.out)
-    _echo_config(out_dir, {
-        **{k: v for k, v in resolved.items() if k != "backend"},
-        "command": "score", "version": __version__,
-    })
+    _echo_config(out_dir, "score", resolved)
     rows = []
     table_rows = []
     for run in runs:

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .data_model import Dataset, QAInstance
 from .feedback_loop import render_passages
-from .llm_client import Backend, ParseFailure, build_request, load_prompt, parse_json_list
+from .llm_client import Backend, ParseFailure, ask, parse_json_list
 from .step_grammar import (
     ReasoningStep,
     StepFormatError,
@@ -144,13 +144,11 @@ def generate_plan(
     decomposition: str = "",
     model_id: str = "default",
 ) -> ReasoningPlan:
-    name = _PLAN_PROMPT_BY_DATASET.get(dataset, "plan_hotpotqa")
-    template = load_prompt(name)
-    values = {"question": question}
-    if "decomposition" in template.placeholders:
-        values["decomposition"] = decomposition or "(none provided)"
-    req = build_request(template, model_id=model_id, **values)
-    resp = backend.complete(req)
+    _, resp = ask(
+        backend, _PLAN_PROMPT_BY_DATASET.get(dataset, "plan_hotpotqa"), model_id,
+        question=question,
+        decomposition=decomposition or "(none provided)",
+    )
     return parse_plan(resp.text)
 
 
@@ -173,15 +171,12 @@ def generate_ideal(
     One step per plan step, kinds matching, every Attribution citation
     pointing at a gold passage.
     """
-    template = load_prompt("ideal_reasoning")
-    req = build_request(
-        template,
-        model_id=model_id,
+    _, resp = ask(
+        backend, "ideal_reasoning", model_id,
         question=instance.question,
         passages=render_passages(instance),
         plan=plan.render(),
     )
-    resp = backend.complete(req)
     parsed = parse_json_list(resp.text)
     if isinstance(parsed, ParseFailure):
         raise DatagenError(f"ideal reasoning not parseable: {parsed.reason}")
@@ -303,10 +298,8 @@ def inject_error(
         raise DatagenError(
             f"{error.value} is inadmissible for {original.kind.value} steps"
         )
-    template = load_prompt("error_injection")
-    req = build_request(
-        template,
-        model_id=model_id,
+    _, resp = ask(
+        backend, "error_injection", model_id,
         error_type=error.value,
         error_definition=ERROR_DEFINITIONS[error],
         question=instance.question,
@@ -314,7 +307,6 @@ def inject_error(
         ideal_steps=render_trajectory(trajectory.steps),
         target_step=str(target_step),
     )
-    resp = backend.complete(req)
     try:
         corrupted = parse_step(resp.text, expected_index=target_step).step
     except StepFormatError as exc:
@@ -447,6 +439,7 @@ def build_dataset(
     pool: list[tuple[QAInstance, Trajectory]],
     config: DatasetConfig,
     refined_records: list[dict] | None = None,
+    model_id: str = "default",
 ) -> tuple[list[TrainingExample], dict]:
     """Synthesize the training set and its manifest.
 
@@ -498,7 +491,7 @@ def build_dataset(
                     break
             if target is None:
                 continue
-            examples.append(inject_error(backend, instance, traj, target, error))
+            examples.append(inject_error(backend, instance, traj, target, error, model_id))
             produced += 1
 
     instances_by_id = {inst.id: inst for inst, _ in pool}

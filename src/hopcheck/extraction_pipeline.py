@@ -30,8 +30,7 @@ from .kg_graph import (
 from .llm_client import (
     Backend,
     ParseFailure,
-    build_request,
-    load_prompt,
+    ask,
     parse_json_list,
     parse_structured_verdict,
 )
@@ -99,14 +98,12 @@ def extract_triples(
     backend: Backend, instance: QAInstance, model_id: str = "default"
 ) -> ExtractionResult:
     """One extraction request per gold passage; malformed outputs are flagged."""
-    template = load_prompt("triple_extraction")
     triples: list[Triple] = []
     failed: list[int] = []
     rejected = 0
     calls = 0
     for passage in instance.gold_passages:
-        req = build_request(template, model_id=model_id, title=passage.title, body=passage.body)
-        resp = backend.complete(req)
+        _, resp = ask(backend, "triple_extraction", model_id, title=passage.title, body=passage.body)
         calls += 1
         parsed = parse_json_list(resp.text)
         if isinstance(parsed, ParseFailure):
@@ -134,16 +131,12 @@ def glean(
 ) -> tuple[list[Triple], int]:
     """Recall pass over one passage: ask for missed triples, at most
     max_rounds times, stopping early once a round adds nothing new."""
-    template = load_prompt("gleaning")
     known = {_triple_key(t) for t in existing}
     pool = list(existing)
     added: list[Triple] = []
     rounds = 0
     for _ in range(max_rounds):
-        req = build_request(
-            template, model_id=model_id, body=body, existing_triples=_triples_json(pool)
-        )
-        resp = backend.complete(req)
+        _, resp = ask(backend, "gleaning", model_id, body=body, existing_triples=_triples_json(pool))
         rounds += 1
         parsed = parse_json_list(resp.text)
         if isinstance(parsed, ParseFailure):
@@ -188,14 +181,11 @@ def resolve_entities(
     entities = _entity_surface_forms(triples)
     if not entities:
         return [], True
-    template = load_prompt("entity_resolution")
-    req = build_request(
-        template,
-        model_id=model_id,
+    _, resp = ask(
+        backend, "entity_resolution", model_id,
         entities=json.dumps(entities, ensure_ascii=False),
         context_triples=_triples_json(triples),
     )
-    resp = backend.complete(req)
     parsed = parse_json_list(resp.text)
     if isinstance(parsed, ParseFailure):
         return [], False
@@ -271,15 +261,12 @@ def _deterministic_verdict(kg: LocalizedKG, instance: QAInstance) -> PathVerdict
 def _llm_verdict(
     backend: Backend, kg: LocalizedKG, instance: QAInstance, model_id: str
 ) -> PathVerdict | None:
-    template = load_prompt("path_discovery")
-    req = build_request(
-        template,
-        model_id=model_id,
+    _, resp = ask(
+        backend, "path_discovery", model_id,
         question=instance.question,
         answer=instance.gold_answers[0],
         triples=_triples_json([e.triple() for e in kg.edges]),
     )
-    resp = backend.complete(req)
     obj = parse_structured_verdict(resp.text, required_keys=("is_valid", "reasoning_path"))
     if isinstance(obj, ParseFailure):
         return None

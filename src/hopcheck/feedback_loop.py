@@ -20,8 +20,7 @@ from .llm_client import (
     Backend,
     ParseFailure,
     TransportError,
-    build_request,
-    load_prompt,
+    ask,
     parse_structured_verdict,
 )
 from .step_grammar import (
@@ -116,6 +115,15 @@ class RoleLedger:
         if self.cached_prompt_tokens > self.total_prompt_tokens:
             raise ValueError("cached cannot exceed total prompt tokens")
 
+    def __add__(self, other: "RoleLedger") -> "RoleLedger":
+        return RoleLedger(
+            total_prompt_tokens=self.total_prompt_tokens + other.total_prompt_tokens,
+            cached_prompt_tokens=self.cached_prompt_tokens + other.cached_prompt_tokens,
+            completion_tokens=self.completion_tokens + other.completion_tokens,
+            calls=self.calls + other.calls,
+            estimated_calls=self.estimated_calls + other.estimated_calls,
+        )
+
     @property
     def computed_prompt_tokens(self) -> int:
         return self.total_prompt_tokens - self.cached_prompt_tokens
@@ -157,22 +165,10 @@ class CacheLedger:
 
     @property
     def overall(self) -> RoleLedger:
-        return RoleLedger(
-            total_prompt_tokens=self.generator.total_prompt_tokens
-            + self.evaluator.total_prompt_tokens,
-            cached_prompt_tokens=self.generator.cached_prompt_tokens
-            + self.evaluator.cached_prompt_tokens,
-            completion_tokens=self.generator.completion_tokens
-            + self.evaluator.completion_tokens,
-            calls=self.generator.calls + self.evaluator.calls,
-            estimated_calls=self.generator.estimated_calls + self.evaluator.estimated_calls,
-        )
+        return self.generator + self.evaluator
 
     def merge(self, other: "CacheLedger") -> "CacheLedger":
-        return CacheLedger(
-            generator=_merge_roles(self.generator, other.generator),
-            evaluator=_merge_roles(self.evaluator, other.evaluator),
-        )
+        return CacheLedger(self.generator + other.generator, self.evaluator + other.evaluator)
 
     def to_dict(self) -> dict:
         return {
@@ -180,16 +176,6 @@ class CacheLedger:
             "evaluator": self.evaluator.to_dict(),
             "overall": self.overall.to_dict(),
         }
-
-
-def _merge_roles(a: RoleLedger, b: RoleLedger) -> RoleLedger:
-    return RoleLedger(
-        total_prompt_tokens=a.total_prompt_tokens + b.total_prompt_tokens,
-        cached_prompt_tokens=a.cached_prompt_tokens + b.cached_prompt_tokens,
-        completion_tokens=a.completion_tokens + b.completion_tokens,
-        calls=a.calls + b.calls,
-        estimated_calls=a.estimated_calls + b.estimated_calls,
-    )
 
 
 def update_ledger(
@@ -218,15 +204,8 @@ def update_ledger(
             if usage.cached_prompt_tokens > 0
             else min(prefix_estimate, total)
         )
-    current = ledger.role(role)
-    updated = RoleLedger(
-        total_prompt_tokens=current.total_prompt_tokens + total,
-        cached_prompt_tokens=current.cached_prompt_tokens + cached,
-        completion_tokens=current.completion_tokens + usage.completion_tokens,
-        calls=current.calls + 1,
-        estimated_calls=current.estimated_calls + (1 if estimated else 0),
-    )
-    return replace(ledger, **{role: updated})
+    call = RoleLedger(total, cached, usage.completion_tokens, 1, int(estimated))
+    return replace(ledger, **{role: ledger.role(role) + call})
 
 
 @dataclass(frozen=True)
@@ -384,17 +363,14 @@ def _evaluate(
     tracker: _LedgerTracker,
 ) -> tuple[Feedback | None, str]:
     """One evaluator call; (feedback, flag). None feedback = unusable verdict."""
-    template = load_prompt("evaluation")
-    req = build_request(
-        template,
-        model_id=cfg.evaluator_model,
+    prompt, resp = ask(
+        evaluator, "evaluation", cfg.evaluator_model,
         question=instance.question,
         passages=passages,
         previous_steps=render_trajectory(prefix),
         step=render_step(step),
     )
-    resp = evaluator.complete(req)
-    tracker.record("evaluator", req.messages[0].content, resp.usage)
+    tracker.record("evaluator", prompt, resp.usage)
     obj = parse_structured_verdict(
         resp.text, required_keys=("error_type", "diagnosis", "guidance")
     )
@@ -420,16 +396,13 @@ def _force_answer(
     traj: Trajectory,
     tracker: _LedgerTracker,
 ) -> str:
-    template = load_prompt("final_answer")
-    req = build_request(
-        template,
-        model_id=cfg.generator_model,
+    prompt, resp = ask(
+        generator, "final_answer", cfg.generator_model,
         question=instance.question,
         passages=passages,
         previous_steps=render_trajectory(traj.steps),
     )
-    resp = generator.complete(req)
-    tracker.record("generator", req.messages[0].content, resp.usage)
+    tracker.record("generator", prompt, resp.usage)
     match = _ANSWER_RE.search(resp.text)
     if match:
         value = match.group(1).strip()
@@ -456,13 +429,10 @@ def run_instance(
     if evaluator is None:
         evaluator = generator
     tracker = _LedgerTracker()
-    template = load_prompt("step_generation")
     passages = render_passages(instance)
     traj = Trajectory(instance_id=instance.id)
     events: list[LoopEvent] = []
     flags: list[str] = []
-    gen_calls = 0
-    ev_calls = 0
     aborted = False
 
     try:
@@ -474,17 +444,14 @@ def run_instance(
             last_step: ReasoningStep | None = None
             last_raw = ""
             for attempt in range(cfg.max_retries + 1):
-                req = build_request(
-                    template,
-                    model_id=cfg.generator_model,
+                prompt, resp = ask(
+                    generator, "step_generation", cfg.generator_model,
                     question=instance.question,
                     passages=passages,
                     previous_steps=render_trajectory(traj.steps),
                     feedback=_render_feedback(feedback),
                 )
-                resp = generator.complete(req)
-                gen_calls += 1
-                tracker.record("generator", req.messages[0].content, resp.usage)
+                tracker.record("generator", prompt, resp.usage)
                 last_raw = resp.text
                 events.append(LoopEvent("step_proposed", slot, attempt, detail=resp.text[:200]))
                 try:
@@ -511,7 +478,6 @@ def run_instance(
                     break
 
                 fb, flag = _evaluate(evaluator, cfg, instance, passages, traj.steps, step, tracker)
-                ev_calls += 1
                 if fb is None:
                     # Unusable evaluator verdict: accept rather than burn
                     # retries on a fault the generator cannot fix.
@@ -546,7 +512,6 @@ def run_instance(
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer or ""))
         else:
             answer = _force_answer(generator, cfg, instance, passages, traj, tracker)
-            gen_calls += 1
             events.append(LoopEvent("answer_forced", len(traj.steps), detail=answer))
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer))
     except TransportError as exc:  # backend hard failure: keep the partial record
@@ -561,8 +526,8 @@ def run_instance(
         answer=answer,
         events=tuple(events),
         ledger=tracker.ledger,
-        generator_calls=gen_calls,
-        evaluator_calls=ev_calls,
+        generator_calls=tracker.ledger.generator.calls,
+        evaluator_calls=tracker.ledger.evaluator.calls,
         flags=tuple(flags),
         aborted=aborted,
     )

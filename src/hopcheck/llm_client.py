@@ -305,7 +305,6 @@ def _parse_openai_response(body: dict) -> ChatResponse:
 @dataclass(frozen=True)
 class ParseFailure:
     reason: str
-    offset: int
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
@@ -314,16 +313,15 @@ _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 def _first_json(text: str, opener: str, what: str) -> dict | list | ParseFailure:
     """The JSON value opening at the first `opener` of the first fenced
     block that holds one, else of the whole text; never repairs JSON."""
-    candidates = [(m.start(1), m.group(1)) for m in _FENCE_RE.finditer(text)]
-    for base, candidate in candidates + [(0, text)]:
+    for candidate in _FENCE_RE.findall(text) + [text]:
         start = candidate.find(opener)
         if start < 0:
             continue
         try:
             return json.JSONDecoder().raw_decode(candidate, start)[0]
         except json.JSONDecodeError:
-            return ParseFailure(f"malformed {what}", base + start)
-    return ParseFailure(f"no {what} found", 0)
+            return ParseFailure(f"malformed {what}")
+    return ParseFailure(f"no {what} found")
 
 
 def parse_structured_verdict(
@@ -336,7 +334,7 @@ def parse_structured_verdict(
         return obj
     missing = [k for k in required_keys if k not in obj]
     if missing:
-        return ParseFailure(f"missing keys: {', '.join(missing)}", 0)
+        return ParseFailure(f"missing keys: {', '.join(missing)}")
     return obj
 
 
@@ -357,3 +355,13 @@ def build_request(
         model_id=model_id,
         max_tokens=max_tokens,
     )
+
+
+def ask(backend: Backend, prompt: str, model_id: str, **values: str) -> tuple[str, ChatResponse]:
+    """Send catalog prompt `prompt`, rendered with `values`, as one request.
+
+    The only way the package calls a backend. Returns the rendered prompt
+    text with the response.
+    """
+    req = build_request(load_prompt(prompt), model_id=model_id, **values)
+    return req.messages[0].content, backend.complete(req)

@@ -7,7 +7,7 @@ from collections import Counter
 from typing import Sequence
 
 from .data_model import AnswerVerdict, JudgeVerdict
-from .llm_client import Backend, ParseFailure, build_request, load_prompt, parse_structured_verdict
+from .llm_client import Backend, ParseFailure, ask, parse_structured_verdict
 from .textnorm import normalize, tokens
 
 
@@ -56,15 +56,12 @@ def judge(
         raise ValueError("golds must be non-empty")
     if any(pred == g for g in golds):
         return JudgeVerdict.CORRECT, "byte-equal to a gold answer", False
-    template = load_prompt("judge")
-    req = build_request(
-        template,
-        model_id=model_id,
+    _, resp = ask(
+        backend, "judge", model_id,
         question=question,
         predicted=pred,
         gold_answers=json.dumps(list(golds), ensure_ascii=False),
     )
-    resp = backend.complete(req)
     obj = parse_structured_verdict(resp.text, required_keys=("is_correct",))
     if isinstance(obj, ParseFailure):
         return JudgeVerdict.UNJUDGED, f"unparseable judge response: {obj.reason}", True

@@ -1,10 +1,13 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from hopcheck import cli
 from hopcheck.cli import main
 from hopcheck.data_model import Dataset, Passage, QAInstance, write_canonical
+from hopcheck.llm_client import ChatResponse, ScriptedBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -95,7 +98,9 @@ def test_run_smoke_mode_none(tmp_path, capsys):
     agg = json.loads((out / "aggregate.json").read_text())
     assert agg["runs"] == 2 and agg["retries"] == 0
     assert (out / "ledger.json").exists()
-    assert json.loads((out / "resolved_config.json").read_text())["mode"] == "none"
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["mode"] == "none"
+    assert "backend" not in resolved
 
 
 def test_run_dry_run_makes_no_backend_calls(tmp_path, capsys):
@@ -138,9 +143,52 @@ def test_verify_benchmark_over_fixture_pack(tmp_path, capsys):
     assert stats["noise_percent"] == expected
     for inst in instances:
         assert (out / "kg" / f"{inst.id}.jsonl").exists()
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert resolved["command"] == "verify-benchmark"
+    assert "backend" not in resolved
     stats_out = tmp_path / "stats"
     assert main(["stats", "--in", str(out / "reports.jsonl"), "--out", str(stats_out)]) == 0
     assert (stats_out / "noise_stats.json").read_bytes() == (out / "noise_stats.json").read_bytes()
+
+
+def _synthesis_teacher(models):
+    """Answers plan, ideal-reasoning and error-injection prompts for
+    make_instance and records the model id of every request."""
+
+    def respond(req):
+        models.append(req.model_id)
+        content = req.messages[0].content
+        if "query analysis" in content:  # only the plan prompts say this
+            return ChatResponse(text=(
+                "[Step 1: Find the nationality of A (Attribution), "
+                "Step 2: Find the nationality of B (Attribution), "
+                "Step 3: Compare the two nationalities (Logical)]"
+            ))
+        target = re.search(r"Target Step to Corrupt: Step (\d+)", content)
+        if target:
+            line = re.search(rf"^Step {target.group(1)}: .*$", content, re.MULTILINE).group(0)
+            return ChatResponse(text=line.replace(": ", ": wrongly, ", 1))
+        return ChatResponse(text=json.dumps([
+            {"step": "Step 1: fact 1 from passage 1 (Attribution)", "supporting_index": 1},
+            {"step": "Step 2: fact 2 from passage 2 (Attribution)", "supporting_index": 2},
+            {"step": "Step 3: both facts agree (Logical)"},
+        ]))
+
+    return respond
+
+
+def test_synthesize_model_reaches_every_request(tmp_path, monkeypatch):
+    models = []
+    backend = ScriptedBackend(responder=_synthesis_teacher(models))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
+    out = tmp_path / "out"
+    assert main(["synthesize", "--in", corpus, "--total", "10", "--model", "teacher",
+                 "--out", str(out)]) == 0
+    injected = json.loads((out / "manifest.json").read_text())["by_provenance"]["Injected"]
+    assert injected > 0
+    assert len(models) == 2 * 2 + injected  # plan + ideal per instance, one per injection
+    assert set(models) == {"teacher"}
 
 
 def test_score_judge_off(tmp_path, capsys):

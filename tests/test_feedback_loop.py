@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,19 @@ def test_budgets_malformed_generator(k, n):
     # malformed attempts produce synthetic procedural feedback
     fb_events = [e for e in rec.events if e.kind == "feedback_given"]
     assert fb_events and all(e.error_type == "Inefficiency" for e in fb_events)
+
+
+@pytest.mark.parametrize("gen_fn,ev_fn", [
+    (never_terminating_generator, never_correct_evaluator),
+    (never_terminating_generator, lambda req: ChatResponse(text=_correct())),
+    (malformed_generator, lambda req: ChatResponse(text=_correct())),
+])
+def test_call_counts_come_from_the_ledger(gen_fn, ev_fn):
+    generator, evaluator = ScriptedBackend(responder=gen_fn), ScriptedBackend(responder=ev_fn)
+    cfg = LoopConfig(max_steps=4, max_retries=2)
+    rec = run_instance(cfg, make_instance(), generator, evaluator)
+    assert rec.generator_calls == rec.ledger.generator.calls == generator.calls
+    assert rec.evaluator_calls == rec.ledger.evaluator.calls == evaluator.calls
 
 
 def test_retry_then_accept():
@@ -282,6 +296,25 @@ def test_run_ledger_accumulates_per_role():
     assert rec.ledger.generator.cached_prompt_tokens > 0
     overall = rec.ledger.overall
     assert overall.calls == 4
+
+
+_ROLE_LEDGER = st.integers(0, 10**6).flatmap(
+    lambda total: st.builds(
+        RoleLedger,
+        total_prompt_tokens=st.just(total),
+        cached_prompt_tokens=st.integers(0, total),
+        completion_tokens=st.integers(0, 10**6),
+        calls=st.integers(0, 999),
+        estimated_calls=st.integers(0, 999),
+    )
+)
+
+
+@given(_ROLE_LEDGER, _ROLE_LEDGER, _ROLE_LEDGER, _ROLE_LEDGER)
+def test_ledger_sums_are_fieldwise(a, b, c, d):
+    assert astuple(a + b) == tuple(x + y for x, y in zip(astuple(a), astuple(b)))
+    assert CacheLedger(a, b).overall == a + b
+    assert CacheLedger(a, b).merge(CacheLedger(c, d)) == CacheLedger(a + c, b + d)
 
 
 class _ReferenceTracker:

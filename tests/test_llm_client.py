@@ -18,6 +18,7 @@ from hopcheck.llm_client import (
     ScriptedBackend,
     TransportError,
     Usage,
+    ask,
     build_request,
     load_prompt,
     parse_json_list,
@@ -152,12 +153,12 @@ def _ref_parse_structured_verdict(text, required_keys=()):
             continue
         obj = _ref_scan_object(candidate, start)
         if obj is None:
-            return ParseFailure("malformed object", 0)
+            return ParseFailure("malformed object")
         missing = [k for k in required_keys if k not in obj]
         if missing:
-            return ParseFailure(f"missing keys: {', '.join(missing)}", 0)
+            return ParseFailure(f"missing keys: {', '.join(missing)}")
         return obj
-    return ParseFailure("no object found", 0)
+    return ParseFailure("no object found")
 
 
 def _ref_parse_json_list(text):
@@ -168,9 +169,9 @@ def _ref_parse_json_list(text):
         try:
             value, _ = json.JSONDecoder().raw_decode(candidate[start:])
         except json.JSONDecodeError:
-            return ParseFailure("malformed array", 0)
-        return value if isinstance(value, list) else ParseFailure("not an array", 0)
-    return ParseFailure("no array found", 0)
+            return ParseFailure("malformed array")
+        return value if isinstance(value, list) else ParseFailure("not an array")
+    return ParseFailure("no array found")
 
 
 def _outcome(result):
@@ -207,6 +208,22 @@ def test_json_extraction_matches_brace_scanner_reference(text, required_keys):
         _ref_parse_structured_verdict(text, required_keys)
     )
     assert _outcome(parse_json_list(text)) == _outcome(_ref_parse_json_list(text))
+
+
+@pytest.mark.parametrize("name", PROMPT_NAMES)
+def test_ask_sends_the_rendered_catalog_request(name):
+    sent = []
+
+    def responder(req):
+        sent.append(req)
+        return ChatResponse(text="reply", usage=Usage(7, 3, 2))
+
+    values = {p: f"value of {p}" for p in load_prompt(name).placeholders}
+    prompt, resp = ask(ScriptedBackend(responder=responder), name, "model-x", **values)
+    expected = build_request(load_prompt(name), model_id="model-x", **values)
+    assert sent == [expected]
+    assert prompt == expected.messages[0].content
+    assert resp == ChatResponse(text="reply", usage=Usage(7, 3, 2))
 
 
 def test_build_request_renders_single_system_message():
