@@ -268,14 +268,18 @@ def _llm_verdict(
         triples=_triples_json([e.triple() for e in kg.edges]),
     )
     obj = parse_structured_verdict(resp.text, required_keys=("is_valid", "reasoning_path"))
-    if isinstance(obj, ParseFailure):
+    if (
+        isinstance(obj, ParseFailure)
+        or not isinstance(obj["is_valid"], bool)
+        or not isinstance(obj["reasoning_path"], list)
+    ):
         return None
     path = []
-    for item in obj.get("reasoning_path", []):
-        if isinstance(item, list) and len(item) == 3 and all(isinstance(s, str) for s in item):
+    for item in obj["reasoning_path"]:
+        if isinstance(item, list) and len(item) == 3 and all(isinstance(s, str) and s.strip() for s in item):
             path.append(Triple(*item))
     return PathVerdict(
-        is_valid=bool(obj["is_valid"]),
+        is_valid=obj["is_valid"],
         reasoning_path=tuple(path),
         pattern=PathPattern.MIXED,
         explanation=str(obj.get("explanation", "")),

@@ -2,7 +2,7 @@
 
 The graph is built from per-passage triples plus alias groups, with
 endpoints rewritten to canonical names via union-find and text
-normalization. Path discovery is a deterministic search for either a
+normalization. Path discovery is a bounded breadth-first search for either a
 sequential chain from a question entity to the answer or a parallel
 comparison structure; its absence marks the instance as noise.
 LocalizedKG is immutable after build and safe to share across threads.
@@ -261,28 +261,30 @@ def _answer_node_keys(kg: LocalizedKG, answer: str) -> set[str]:
     return {k for k, label in kg.nodes.items() if k in kg.adjacency and answer_matches(answer, label)}
 
 
-def _simple_paths(
-    kg: LocalizedKG, start: str, max_hops: int = MAX_HOPS
-) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
-    """All simple paths from start: (node sequence, edge-id sequence).
+def _shortest_paths(
+    kg: LocalizedKG, start: str, avoid: frozenset[str] = frozenset()
+) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """Best path of at most MAX_HOPS edges from start to every node it
+    reaches without entering `avoid`: {node: (node sequence, edge-id
+    sequence)}, start included with the empty path.
 
-    Deterministic: neighbors are expanded in sorted order, so paths come
-    out in lexicographic node-sequence order within each length.
+    Breadth-first over the sorted adjacency with the frontier kept in
+    discovery order, so each layer is ordered by its nodes' paths and the
+    first path found to a node is simple, shortest, and among those the
+    smallest by node sequence, then by adjacency order of its edges.
     """
-    out: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-
-    def walk(node: str, nodes: tuple[str, ...], edge_ids: tuple[str, ...]) -> None:
-        if len(edge_ids) >= max_hops:
-            return
-        for neighbor, _rel, edge_id in kg.adjacency.get(node, ()):
-            if neighbor in nodes:
-                continue
-            path = (nodes + (neighbor,), edge_ids + (edge_id,))
-            out.append(path)
-            walk(neighbor, *path)
-
-    walk(start, (start,), ())
-    return out
+    paths = {start: ((start,), ())}
+    frontier = [start]
+    for _ in range(MAX_HOPS):
+        reached = []
+        for node in frontier:
+            nodes, edge_ids = paths[node]
+            for neighbor, _rel, edge_id in kg.adjacency.get(node, ()):
+                if neighbor not in paths and neighbor not in avoid:
+                    paths[neighbor] = (nodes + (neighbor,), edge_ids + (edge_id,))
+                    reached.append(neighbor)
+        frontier = reached
+    return paths
 
 
 def _path_triples(kg: LocalizedKG, edge_ids: tuple[str, ...]) -> tuple[Triple, ...]:
@@ -328,57 +330,43 @@ def _is_pure_temporal(label: str) -> bool:
 
 @dataclass(frozen=True)
 class _Branch:
-    pred_class: str
     terminal_key: str
     edge_ids: tuple[str, ...]
-    nodes: tuple[str, ...]
 
 
-def _branches(kg: LocalizedKG, entity_key: str, other_entities: frozenset[str]) -> list[_Branch]:
-    """Attribute branches from one compared entity.
+def _parallel_assignments(kg: LocalizedKG, entity_keys: list[str]) -> list[list[list[_Branch]]]:
+    """Per predicate class covered by every compared entity: each entity's
+    best branch to each terminal whose last edge is in that class,
+    smallest terminal first.
 
-    Paths through another compared entity are excluded: a chain that
-    reaches the attribute via the other side of the comparison is not
-    independent evidence for this side.
+    A branch is a simple path of at most MAX_HOPS edges; the best is the
+    smallest by (hops, node sequence). Paths through another compared
+    entity are excluded: a chain that reaches the attribute via the other
+    side of the comparison is not independent evidence for this side.
     """
-    result = []
-    for nodes, edge_ids in _simple_paths(kg, entity_key):
-        if any(n in other_entities for n in nodes[1:]):
-            continue
-        last_edge = kg.edges[int(edge_ids[-1])]
-        result.append(
-            _Branch(
-                pred_class=predicate_class(last_edge.relation),
-                terminal_key=nodes[-1],
-                edge_ids=edge_ids,
-                nodes=nodes,
-            )
-        )
-    return result
-
-
-def _parallel_assignments(
-    kg: LocalizedKG, entity_keys: list[str]
-) -> list[dict[str, list[_Branch]]]:
-    """Per predicate class: each entity's branches ending in that class.
-
-    Only classes covered by every compared entity qualify.
-    """
-    per_entity = {
-        e: _branches(kg, e, frozenset(entity_keys) - {e}) for e in entity_keys
-    }
-    classes = None
-    for branches in per_entity.values():
-        cls = {b.pred_class for b in branches}
-        classes = cls if classes is None else classes & cls
-    if not classes:
-        return []
-    out = []
-    for pred_class in sorted(classes):
-        out.append(
-            {e: [b for b in per_entity[e] if b.pred_class == pred_class] for e in entity_keys}
-        )
-    return out
+    per_entity = []
+    for e in entity_keys:
+        avoid = frozenset(entity_keys) - {e}
+        best: dict[str, dict[str, tuple]] = {}
+        for terminal in _shortest_paths(kg, e, avoid):
+            if terminal == e:
+                continue
+            # Best prefix to each neighbour that does not pass the terminal.
+            prefixes = _shortest_paths(kg, e, avoid | {terminal})
+            for neighbor, relation, edge_id in kg.adjacency[terminal]:
+                if neighbor not in prefixes or len(prefixes[neighbor][1]) >= MAX_HOPS:
+                    continue
+                nodes, edge_ids = prefixes[neighbor]
+                by_terminal = best.setdefault(predicate_class(relation), {})
+                key = (len(edge_ids), nodes)
+                if terminal not in by_terminal or key < by_terminal[terminal][0]:
+                    by_terminal[terminal] = (key, _Branch(terminal, edge_ids + (edge_id,)))
+        per_entity.append(best)
+    classes = set.intersection(*(set(best) for best in per_entity))
+    return [
+        [[best[c][t][1] for t in sorted(best[c])] for best in per_entity]
+        for c in sorted(classes)
+    ]
 
 
 def find_grounded_path(
@@ -402,33 +390,30 @@ def find_grounded_path(
     entity_keys = _match_question_entities(kg, question_entities)
     answer_keys = _answer_node_keys(kg, answer)
 
-    # Sequential: iterative deepening keeps the first (= shortest, then
-    # lexicographically smallest) hit.
-    if entity_keys and answer_keys:
-        all_paths: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-        for start in entity_keys:
-            all_paths.extend(
-                p for p in _simple_paths(kg, start) if p[0][-1] in answer_keys
-            )
-        if all_paths:
-            best = min(all_paths, key=lambda p: (len(p[1]), p[0]))
-            return PathVerdict(
-                is_valid=True,
-                reasoning_path=_path_triples(kg, best[1]),
-                pattern=PathPattern.SEQUENTIAL,
-                explanation=(
-                    f"Connected chain of {len(best[1])} triple(s) from a question "
-                    f"entity to a node matching the answer."
-                ),
-            )
+    hits = [
+        path
+        for start in entity_keys
+        for node, path in _shortest_paths(kg, start).items()
+        if node != start and node in answer_keys
+    ]
+    if hits:
+        best = min(hits, key=lambda p: (len(p[1]), p[0]))
+        return PathVerdict(
+            is_valid=True,
+            reasoning_path=_path_triples(kg, best[1]),
+            pattern=PathPattern.SEQUENTIAL,
+            explanation=(
+                f"Connected chain of {len(best[1])} triple(s) from a question "
+                f"entity to a node matching the answer."
+            ),
+        )
 
     ambiguous = False
     answer_norm = normalize(answer)
     if len(entity_keys) >= 2:
         boolean = answer_norm in ("yes", "no")
         answer_is_entity = any(answer_matches(answer, e) for e in question_entities)
-        for assignment in _parallel_assignments(kg, entity_keys):
-            branch_sets = [assignment[e] for e in entity_keys]
+        for branch_sets in _parallel_assignments(kg, entity_keys):
             if boolean:
                 if answer_norm == "yes":
                     chosen = _choose_all_equal(branch_sets)
@@ -463,25 +448,13 @@ def find_grounded_path(
     )
 
 
-def _dedup_by_terminal(branch_sets: list[list[_Branch]]) -> list[list[_Branch]]:
-    """One representative branch per terminal node, smallest terminal first."""
-    out = []
-    for bs in branch_sets:
-        by_terminal: dict[str, _Branch] = {}
-        for b in sorted(bs, key=lambda b: (b.terminal_key, len(b.edge_ids), b.nodes)):
-            by_terminal.setdefault(b.terminal_key, b)
-        out.append([by_terminal[k] for k in sorted(by_terminal)])
-    return out
-
-
 def _choose_all_equal(branch_sets: list[list[_Branch]]) -> list[_Branch] | None:
     """Branches whose terminal values all coincide ("yes" comparisons)."""
     common = set.intersection(*[{b.terminal_key for b in bs} for bs in branch_sets])
     if not common:
         return None
     target = sorted(common)[0]
-    reps = _dedup_by_terminal(branch_sets)
-    return [next(b for b in bs if b.terminal_key == target) for bs in reps]
+    return [next(b for b in bs if b.terminal_key == target) for bs in branch_sets]
 
 
 def _choose_not_all_equal(branch_sets: list[list[_Branch]]) -> list[_Branch] | None:
@@ -490,14 +463,13 @@ def _choose_not_all_equal(branch_sets: list[list[_Branch]]) -> list[_Branch] | N
     Feasible exactly when the union of reachable terminal values has
     at least two members.
     """
-    reps = _dedup_by_terminal(branch_sets)
-    union = {b.terminal_key for bs in reps for b in bs}
+    union = {b.terminal_key for bs in branch_sets for b in bs}
     if len(union) < 2:
         return None
-    picks = [bs[0] for bs in reps]
+    picks = [bs[0] for bs in branch_sets]
     if len({p.terminal_key for p in picks}) > 1:
         return picks
-    for i, bs in enumerate(reps):
+    for i, bs in enumerate(branch_sets):
         alt = next((b for b in bs if b.terminal_key != picks[i].terminal_key), None)
         if alt is not None:
             picks[i] = alt
@@ -514,7 +486,7 @@ def _choose_ordered_distinct(
     assignment whenever one exists.
     """
     orderable_sets: list[list[tuple[tuple, _Branch]]] = []
-    for bs in _dedup_by_terminal(branch_sets):
+    for bs in branch_sets:
         values = []
         for b in bs:
             value = parse_orderable(kg.nodes[b.terminal_key])
@@ -546,27 +518,31 @@ def _complete_contradicting_chain(
     kg: LocalizedKG, entity_keys: list[str], question: str, answer: str
 ) -> bool:
     """A chain from a question entity ends at a leaf whose final relation
-    echoes the question but whose value contradicts the gold answer."""
+    echoes the question but whose value contradicts the gold answer.
+
+    All of a leaf's edges run to its one neighbour, so once the leaf is
+    reached, each of its edges is the last edge of some chain.
+    """
     q_tokens = content_tokens(question)
     wants_place = bool(re.search(r"\bwhere\b|\bplace\b|\bcity\b", question.lower()))
     wants_time = bool(re.search(r"\bwhen\b|\byear\b|\bdate\b", question.lower()))
-    for start in entity_keys:
-        for nodes, edge_ids in _simple_paths(kg, start):
-            terminal = nodes[-1]
-            if kg.degree(terminal) > 1:
-                continue
-            last_edge = kg.edges[int(edge_ids[-1])]
-            pred_tokens = content_tokens(last_edge.relation.replace("_", " "))
-            if not (pred_tokens & q_tokens):
-                continue
-            label = kg.nodes[terminal]
-            if answer_matches(answer, label):
-                continue
-            if wants_place and _is_pure_temporal(label):
-                continue
-            if wants_time and parse_orderable(label) is None:
-                continue
-            return True
+    reached = {node for start in entity_keys for node in _shortest_paths(kg, start) if node != start}
+    for terminal in reached:
+        if kg.degree(terminal) > 1:
+            continue
+        if not any(
+            content_tokens(relation.replace("_", " ")) & q_tokens
+            for _, relation, _ in kg.adjacency[terminal]
+        ):
+            continue
+        label = kg.nodes[terminal]
+        if answer_matches(answer, label):
+            continue
+        if wants_place and _is_pure_temporal(label):
+            continue
+        if wants_time and parse_orderable(label) is None:
+            continue
+        return True
     return False
 
 
@@ -612,7 +588,7 @@ def classify_noise(
     if verdict.is_valid:
         return NoiseLabel.GROUNDED
 
-    answer = gold_answers[0]
+    answer = next((g for g in gold_answers if normalize(g)), gold_answers[0])
     entity_keys = _match_question_entities(kg, question_entities)
 
     # A boolean comparison that completed but with the opposite outcome.

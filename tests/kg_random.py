@@ -75,3 +75,66 @@ def random_case(rng: random.Random) -> tuple[LocalizedKG, set[str], str]:
     answer_pool = labels + ["yes", "no", "missing answer", rng.choice(labels).split()[0]]
     answer = rng.choice(answer_pool)
     return kg, entities, answer
+
+
+# Stems shared by several node labels: every pair of labels on one stem
+# shares two content tokens, so it is a conflation candidate.
+CONFLATION_STEMS = ["lorenzo costa", "river stone", "saint mary"]
+CONFLATION_SUFFIXES = ["", " elder", " younger", " church", " bridge"]
+ATTRIBUTE_LABELS = ["french", "italian", "1957", "10 April 1930", "December 18, 1946", "2009-05-01"]
+COMPARISON_PREDICATES = [
+    "birth date",
+    "date of birth",
+    "nationality",
+    "citizenship",
+    "directed by",
+    "director",
+    "spouse",
+    "located in",
+    "place of death",
+]
+QUESTIONS = [
+    "Where was {} born?",
+    "When was {} born?",
+    "What is the nationality of {}?",
+    "Who directed {}?",
+    "Where is {} located?",
+    "What is the death date of {}?",
+    "Which city was the place of death of {}?",
+    "Are {} and the other of the same nationality?",
+]
+
+
+def conflation_case(rng: random.Random) -> tuple[LocalizedKG, set[str], str]:
+    """Small graph whose labels share stems, linked by comparison predicates,
+    with yes/no, compared-entity or attribute answers."""
+    labels = []
+    for stem in rng.sample(CONFLATION_STEMS, rng.randint(1, 2)):
+        labels += [stem + s for s in rng.sample(CONFLATION_SUFFIXES, rng.randint(2, 4))]
+    labels += rng.sample(ATTRIBUTE_LABELS, rng.randint(1, 3))
+    triples = []
+    for _ in range(rng.randint(2, 12)):
+        head, tail = rng.sample(labels, 2)
+        triples.append(Triple(head, rng.choice(COMPARISON_PREDICATES), tail, rng.randint(1, 4)))
+    kg = build_kg(triples, [])
+    entities = set(rng.sample(labels, k=rng.choice([1, 2, 2, 3])))
+    roll = rng.random()
+    if roll < 0.4:
+        answer = rng.choice(["yes", "no"])
+    elif roll < 0.7:
+        answer = rng.choice(sorted(entities))
+    else:
+        answer = rng.choice(labels)
+    return kg, entities, answer
+
+
+def question_and_golds(
+    rng: random.Random, entities: set[str], answer: str, kg: LocalizedKG
+) -> tuple[str, tuple[str, ...]]:
+    """A question about one of the entities, and gold answers led by `answer`,
+    sometimes followed by another node label."""
+    question = rng.choice(QUESTIONS).format(rng.choice(sorted(entities)))
+    golds = (answer,)
+    if rng.random() < 0.3:
+        golds += (rng.choice(sorted(kg.nodes.values())),)
+    return question, golds

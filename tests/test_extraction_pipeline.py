@@ -133,28 +133,55 @@ def test_verify_no_triples_is_unverified():
     assert "unverified" in report.flags
 
 
-def test_llm_mode_unparseable_verdict():
-    record = _ALL_RECORDS[0]
-    instance = build_instance(record)
-    script = [ChatResponse(text=t) for t in record["extraction"]]
-    script += [ChatResponse(text="[]") for _ in record["gold_passages"]]
-    script.append(ChatResponse(text=record["resolution"]))
-    script.append(ChatResponse(text="no json here"))
-    report = verify_instance(ScriptedBackend(script=script), instance, mode="llm")
-    assert report.noise_label is None
-    assert "unverified" in report.flags
-
-
-def test_cross_check_records_disagreement():
+def _llm_verify(verdict_reply: str, mode: str):
+    """Verify the first fixture record with `verdict_reply` as the model's path verdict."""
     record = _ALL_RECORDS[0]  # deterministically Grounded
     instance = build_instance(record)
     script = [ChatResponse(text=t) for t in record["extraction"]]
     script += [ChatResponse(text="[]") for _ in record["gold_passages"]]
     script.append(ChatResponse(text=record["resolution"]))
-    script.append(
-        ChatResponse(text=json.dumps({"is_valid": False, "reasoning_path": [], "explanation": "x"}))
-    )
-    report = verify_instance(ScriptedBackend(script=script), instance, mode="cross-check")
+    script.append(ChatResponse(text=verdict_reply))
+    return verify_instance(ScriptedBackend(script=script), instance, mode=mode)
+
+
+def test_llm_mode_unparseable_verdict():
+    report = _llm_verify("no json here", "llm")
+    assert report.noise_label is None
+    assert "unverified" in report.flags
+
+
+@pytest.mark.parametrize("mode", ["llm", "cross-check"])
+@pytest.mark.parametrize(
+    "reply",
+    [
+        {"is_valid": True, "reasoning_path": None, "explanation": "x"},
+        {"is_valid": "false", "reasoning_path": [], "explanation": "x"},
+    ],
+    ids=["null-path", "string-is-valid"],
+)
+def test_llm_verdict_with_wrong_types_is_unparseable(reply, mode):
+    report = _llm_verify(json.dumps(reply), mode)
+    assert report.alt_verdict is None
+    if mode == "llm":
+        assert report.noise_label is None
+        assert "unverified" in report.flags
+    else:
+        assert "llm_verdict_unparseable" in report.flags
+        assert report.noise_label is NoiseLabel.GROUNDED
+
+
+@pytest.mark.parametrize("mode", ["llm", "cross-check"])
+def test_llm_verdict_skips_triple_with_blank_slot(mode):
+    reply = {"is_valid": True, "reasoning_path": [["A", " ", "B"], ["A", "born in", "B"]]}
+    report = _llm_verify(json.dumps(reply), mode)
+    llm = report.verdict if mode == "llm" else report.alt_verdict
+    assert llm.is_valid
+    assert llm.reasoning_path == (Triple("A", "born in", "B"),)
+
+
+def test_cross_check_records_disagreement():
+    reply = {"is_valid": False, "reasoning_path": [], "explanation": "x"}
+    report = _llm_verify(json.dumps(reply), "cross-check")
     assert report.disagreement
     assert report.verdict.is_valid  # deterministic verdict is primary
     assert report.alt_verdict is not None and not report.alt_verdict.is_valid

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -19,7 +21,9 @@ from hopcheck.kg_graph import (
     predicate_class,
     predicates_match,
 )
-from kg_random import random_case
+from hopcheck.textnorm import normalize
+import kg_reference
+from kg_random import conflation_case, question_and_golds, random_case
 from path_oracle import oracle_is_valid
 
 
@@ -207,6 +211,20 @@ def test_conflation_repairable_by_merge():
     assert label is NoiseLabel.ENTITY_CONFLATION
 
 
+def test_conflation_skips_gold_answer_that_normalizes_empty():
+    kg = _kg(
+        [
+            ("Lorenzo Costa", "born in", "Ferrara", 1),
+            ("Lorenzo Costa the Elder", "place of death", "Mantua", 2),
+        ]
+    )
+    verdict = find_grounded_path(kg, {"Lorenzo Costa"}, "Mantua")
+    label = classify_noise(
+        verdict, kg, "Where did Lorenzo Costa die?", {"Lorenzo Costa"}, ("The", "Mantua")
+    )
+    assert label is NoiseLabel.ENTITY_CONFLATION
+
+
 def test_missing_evidence_default():
     kg = _kg([("A", "spouse", "B", 1)])
     verdict = find_grounded_path(kg, {"A"}, "Stockholm")
@@ -241,3 +259,61 @@ def test_oracle_spot_check_200_random_graphs():
         got = find_grounded_path(kg, entities, answer).is_valid
         want = oracle_is_valid(kg, entities, answer)
         assert got == want, (entities, answer, kg.to_jsonl())
+
+
+def test_search_matches_exhaustive_reference():
+    """Whole verdicts and noise labels equal those of the exhaustive
+    simple-path search, paths and tie-breaks included."""
+    labels = Counter()
+    parallel = 0
+    for generate, seed in ((random_case, 11), (conflation_case, 12)):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            kg, entities, answer = generate(rng)
+            question, golds = question_and_golds(rng, entities, answer, kg)
+            assert all(normalize(g) for g in golds)
+            want = kg_reference.find_grounded_path(kg, entities, answer)
+            got = find_grounded_path(kg, entities, answer)
+            assert got.to_dict() == want.to_dict(), (entities, answer, kg.to_jsonl())
+            label = classify_noise(got, kg, question, entities, golds)
+            assert label is kg_reference.classify_noise(want, kg, question, entities, golds), (
+                question, entities, golds, kg.to_jsonl()
+            )
+            labels[label] += 1
+            parallel += got.is_valid and got.pattern is PathPattern.PARALLEL
+    assert set(labels) == set(NoiseLabel)
+    assert parallel > 0
+
+
+def test_comparison_branch_respects_max_hops():
+    # "Film One" reaches 1957 and q6 along two chains of MAX_HOPS edges; the
+    # "birth date" edge joining their ends would make a branch one hop too long.
+    p_chain = ["Film One", *[f"p{i}" for i in range(1, MAX_HOPS)], "1957"]
+    q_chain = ["Film One", *[f"q{i}" for i in range(1, MAX_HOPS + 1)]]
+    rows = [(a, "knows", b, 1) for chain in (p_chain, q_chain) for a, b in zip(chain, chain[1:])]
+    rows += [(q_chain[-1], "birth date", "1957", 1), ("Film Two", "birth date", "1960", 1)]
+    kg = _kg(rows)
+    entities = {"Film One", "Film Two"}
+    verdict = find_grounded_path(kg, entities, "Film One")
+    assert not verdict.is_valid
+    assert verdict.to_dict() == kg_reference.find_grounded_path(kg, entities, "Film One").to_dict()
+
+
+def test_classify_noise_bounded_on_dense_shared_label_graph():
+    # Every pair of the 20 labels is a conflation candidate, and the graph
+    # has far more simple paths than an exhaustive search can list quickly.
+    words = (
+        "alpha bravo charlie delta echo foxtrot golf hotel india juliet "
+        "kilo lima mike november oscar papa quebec romeo sierra tango"
+    ).split()
+    rng = random.Random(20)
+    labels = [f"river stone {w}" for w in words]
+    rows = [
+        (a, "linked to", b, 1) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3
+    ]
+    kg = _kg(rows + [("lonely tower", "located in", "far city", 1)])
+    start = time.perf_counter()
+    verdict = find_grounded_path(kg, {labels[0]}, "far city")
+    label = classify_noise(verdict, kg, f"Where is {labels[0]}?", {labels[0]}, ("far city",))
+    assert label is NoiseLabel.MISSING_EVIDENCE
+    assert time.perf_counter() - start < 5.0
