@@ -6,15 +6,19 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .data_model import Dataset, JudgeVerdict, load_canonical, load_instances, write_canonical
-from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan, write_train
+from .data_model import (
+    Dataset, JudgeVerdict, canonical_row, load_canonical, load_instances, read_jsonl,
+    write_json, write_jsonl,
+)
+from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan
 from .extraction_pipeline import (
     MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, corpus_stats, verify_instance,
 )
-from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table, write_runs
+from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table
 from .llm_client import OpenAIBackend, ScriptedBackend
 from .metrics import score_answer
 
@@ -51,16 +55,12 @@ def _build_backend(spec: dict | None):
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
-
-
 def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
     """resolved_config.json: the settings without backend specs, plus command and version."""
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = {k: v for k, v in resolved.items() if k not in ("backend", "evaluator_backend")}
     echo.update(command=command, version=__version__)
-    _write_json(out_dir / "resolved_config.json", echo)
+    write_json(out_dir / "resolved_config.json", echo)
 
 
 def _merged(config: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
@@ -80,7 +80,7 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     instances = load_instances(args.infile, Dataset(dataset), seed)
     out_dir = Path(args.out)
     _echo_config(out_dir, "ingest", resolved)
-    write_canonical(instances, out_dir / "instances.jsonl")
+    write_jsonl(out_dir / "instances.jsonl", map(canonical_row, instances))
     print(f"ingested {len(instances)} instances")
     return 0
 
@@ -103,22 +103,17 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     _echo_config(out_dir, "verify-benchmark", resolved)
     (out_dir / "kg").mkdir(exist_ok=True)
     reports = []
-    with open(out_dir / "reports.jsonl", "w", encoding="utf-8") as rep_fh, open(
-        out_dir / "disagreements.jsonl", "w", encoding="utf-8"
-    ) as dis_fh:
-        for inst in instances:
-            report = verify_instance(
-                backend, inst, mode=mode, model_id=resolved.get("model", "default")
-            )
-            reports.append(report)
-            rep_fh.write(json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
-            if report.disagreement:
-                dis_fh.write(
-                    json.dumps(report.to_dict(), ensure_ascii=False, sort_keys=True) + "\n"
-                )
-            (out_dir / "kg" / f"{inst.id}.jsonl").write_text(report.kg.to_jsonl() + "\n")
+    for inst in instances:
+        report = verify_instance(
+            backend, inst, mode=mode, model_id=resolved.get("model", "default")
+        )
+        reports.append(report)
+        write_jsonl(out_dir / "kg" / f"{inst.id}.jsonl", map(asdict, report.kg.edges))
+    rows = [report.to_dict() for report in reports]
+    write_jsonl(out_dir / "reports.jsonl", rows)
+    write_jsonl(out_dir / "disagreements.jsonl", [row for row in rows if row["disagreement"]])
     stats = corpus_stats(reports)
-    _write_json(out_dir / "noise_stats.json", stats.to_dict())
+    write_json(out_dir / "noise_stats.json", stats.to_dict())
     print(f"verified {stats.total} instances; noise {stats.percent:.2f}%")
     return 0
 
@@ -152,9 +147,9 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
     records, aggregate = run_corpus(
         cfg, instances, generator, evaluator, workers=int(resolved.get("workers", 1))
     )
-    write_runs(records, out_dir / "runs.jsonl")
-    _write_json(out_dir / "aggregate.json", aggregate)
-    _write_json(out_dir / "ledger.json", aggregate["ledger"])
+    write_jsonl(out_dir / "runs.jsonl", (rec.to_dict() for rec in records))
+    write_json(out_dir / "aggregate.json", aggregate)
+    write_json(out_dir / "ledger.json", aggregate["ledger"])
     print(f"ran {len(records)} instances; retries {aggregate['retries']}")
     return 0
 
@@ -178,15 +173,12 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
         ideal_fraction=float(resolved.get("ideal_fraction", 0.34)),
         seed=int(resolved.get("seed", 0)),
     )
-    refined = []
-    if args.refined:
-        with open(args.refined, encoding="utf-8") as fh:
-            refined = [json.loads(line) for line in fh if line.strip()]
+    refined = read_jsonl(args.refined) if args.refined else []
     examples, manifest = build_dataset(backend, pool, dataset_cfg, refined, model_id)
     out_dir = Path(args.out)
     _echo_config(out_dir, "synthesize", resolved)
-    write_train(examples, out_dir / "train.jsonl")
-    _write_json(out_dir / "manifest.json", manifest)
+    write_jsonl(out_dir / "train.jsonl", (ex.to_dict() for ex in examples))
+    write_json(out_dir / "manifest.json", manifest)
     print(f"synthesized {manifest['total']} examples")
     return 0
 
@@ -194,8 +186,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
 def _cmd_score(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("judge", "model"))
     instances = {inst.id: inst for inst in load_canonical(args.infile)}
-    with open(args.runs, encoding="utf-8") as fh:
-        runs = [json.loads(line) for line in fh if line.strip()]
+    runs = read_jsonl(args.runs)
     use_judge = resolved.get("judge", "off") == "on"
     if args.dry_run:
         print(f"dry-run: at most {len(runs) if use_judge else 0} backend requests")
@@ -227,25 +218,20 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
         if verdict.judge is not JudgeVerdict.UNJUDGED:
             table_row["acc"] = float(verdict.judge is JudgeVerdict.CORRECT)
         table_rows.append(table_row)
-    with open(out_dir / "scores.jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-    _write_json(out_dir / "aggregate.json", {"table": score_table(table_rows), "rows": len(rows)})
+    write_jsonl(out_dir / "scores.jsonl", rows)
+    write_json(out_dir / "aggregate.json", {"table": score_table(table_rows), "rows": len(rows)})
     print(f"scored {len(rows)} runs")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     del config
-    with open(args.infile, encoding="utf-8") as fh:
-        stats = NoiseStats.from_labels(
-            json.loads(line).get("noise_label") for line in fh if line.strip()
-        )
+    stats = NoiseStats.from_labels(row.get("noise_label") for row in read_jsonl(args.infile))
     print(f"{stats.percent:.2f}%")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(out_dir / "noise_stats.json", stats.to_dict())
+        write_json(out_dir / "noise_stats.json", stats.to_dict())
     return 0
 
 

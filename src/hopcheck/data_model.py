@@ -3,16 +3,22 @@
 Loads 2WikiMultihopQA / HotpotQA JSON and MuSiQue JSONL records into a
 uniform 10-passage distractor setting. All types are immutable after
 construction; loading is read-only and safe to parallelize per file.
+
+Every JSONL file the package reads goes through `read_jsonl`, and every
+JSONL or JSON artifact it writes goes through `write_jsonl` or
+`write_json`, which write a temp file and rename it over the target.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Any, Iterable
 
 
 class Dataset(str, Enum):
@@ -171,25 +177,21 @@ def _load_hotpot_style(path: Path, dataset: Dataset, seed: int) -> list[QAInstan
 
 def _load_musique(path: Path, seed: int) -> list[QAInstance]:
     instances = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            try:
-                rid = rec["id"]
-                question = rec["question"]
-                answer = rec["answer"]
-                paragraphs = rec["paragraphs"]
-            except KeyError as exc:
-                raise MalformedRecordError(i, f"missing field {exc}") from exc
-            golds = [answer] + list(rec.get("answer_aliases", []))
-            raw = [
-                (p["title"], p["paragraph_text"], bool(p.get("is_supporting")))
-                for p in paragraphs
-                if p.get("paragraph_text")
-            ]
-            instances.append(_finalize(rid, question, raw, golds, Dataset.MUSIQUE, seed))
+    for i, rec in enumerate(read_jsonl(path)):
+        try:
+            rid = rec["id"]
+            question = rec["question"]
+            answer = rec["answer"]
+            paragraphs = rec["paragraphs"]
+        except KeyError as exc:
+            raise MalformedRecordError(i, f"missing field {exc}") from exc
+        golds = [answer] + list(rec.get("answer_aliases", []))
+        raw = [
+            (p["title"], p["paragraph_text"], bool(p.get("is_supporting")))
+            for p in paragraphs
+            if p.get("paragraph_text")
+        ]
+        instances.append(_finalize(rid, question, raw, golds, Dataset.MUSIQUE, seed))
     return instances
 
 
@@ -211,9 +213,9 @@ def load_instances(path: str | Path, dataset: Dataset, seed: int) -> list[QAInst
     raise ValueError(f"unknown dataset {dataset}")
 
 
-def canonical_serialize(instance: QAInstance) -> str:
-    """One stable JSON line per instance; round-trips through parse_canonical."""
-    payload = {
+def canonical_row(instance: QAInstance) -> dict:
+    """One canonical JSONL row per instance; round-trips through from_canonical_row."""
+    return {
         "id": instance.id,
         "question": instance.question,
         "passages": [
@@ -225,11 +227,9 @@ def canonical_serialize(instance: QAInstance) -> str:
         "shuffle_seed": instance.shuffle_seed,
         "question_entities": list(instance.question_entities),
     }
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
 
-def parse_canonical(line: str) -> QAInstance:
-    rec = json.loads(line)
+def from_canonical_row(rec: dict) -> QAInstance:
     return QAInstance(
         id=rec["id"],
         question=rec["question"],
@@ -245,11 +245,44 @@ def parse_canonical(line: str) -> QAInstance:
 
 
 def load_canonical(path: str | Path) -> list[QAInstance]:
+    return [from_canonical_row(rec) for rec in read_jsonl(path)]
+
+
+def read_jsonl(path: str | Path) -> list[dict]:
+    """The rows of a JSONL file, skipping blank lines. A malformed line
+    raises ValueError naming `path:lineno`."""
+    rows = []
     with open(path, encoding="utf-8") as fh:
-        return [parse_canonical(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return rows
 
 
-def write_canonical(instances: list[QAInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(canonical_serialize(inst) + "\n")
+def _replace(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` to a temp file next to `path`, then rename it over
+    `path`, so readers see the old file or the whole new one. If writing
+    fails, the temp file is removed and the target is untouched."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
+    """One JSON line per row, keys sorted, non-ASCII kept as is."""
+    _replace(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows))
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """Indented JSON with sorted keys and a trailing newline."""
+    _replace(path, [json.dumps(obj, ensure_ascii=False, indent=2, sort_keys=True) + "\n"])

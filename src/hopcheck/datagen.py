@@ -10,7 +10,6 @@ and emits a manifest with the count histograms.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -526,9 +525,3 @@ def build_manifest(examples: list[TrainingExample]) -> dict:
         },
         "unique_questions_total": len({q for v in unique_questions.values() for q in v}),
     }
-
-
-def write_train(examples: list[TrainingExample], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")

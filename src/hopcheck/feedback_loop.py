@@ -11,7 +11,6 @@ tracked per role in an immutable CacheLedger.
 from __future__ import annotations
 
 import concurrent.futures
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -613,9 +612,3 @@ def run_corpus(
                 pool.map(lambda inst: run_instance(cfg, inst, generator, evaluator), instances)
             )
     return records, aggregate_runs(records)
-
-
-def write_runs(records: list[RunRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")

@@ -143,16 +143,6 @@ class LocalizedKG:
     def degree(self, key: str) -> int:
         return len({n for n, _, _ in self.adjacency.get(key, ())})
 
-    def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {"head": e.head, "relation": e.relation, "tail": e.tail, "sources": list(e.sources)},
-                ensure_ascii=False,
-            )
-            for e in self.edges
-        ]
-        return "\n".join(lines)
-
 
 class PathPattern(str, Enum):
     SEQUENTIAL = "Sequential"

@@ -21,6 +21,8 @@ from typing import Callable, Protocol
 
 import requests
 
+from .data_model import write_json
+
 PROMPT_NAMES = (
     "step_generation",
     "evaluation",
@@ -209,8 +211,7 @@ class RecordingBackend:
         return resp
 
     def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self._records, fh, ensure_ascii=False, indent=2)
+        write_json(path, self._records)
 
 
 class OpenAIBackend:

@@ -6,7 +6,7 @@ import pytest
 
 from hopcheck import cli
 from hopcheck.cli import main
-from hopcheck.data_model import Dataset, Passage, QAInstance, write_canonical
+from hopcheck.data_model import Dataset, Passage, QAInstance, canonical_row, write_jsonl
 from hopcheck.llm_client import ChatResponse, ScriptedBackend
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,7 +20,7 @@ def make_instance(iid="q1", answer="Paris") -> QAInstance:
 
 
 def write_corpus(path, instances):
-    write_canonical(instances, path)
+    write_jsonl(path, map(canonical_row, instances))
     return str(path)
 
 

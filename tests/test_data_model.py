@@ -9,10 +9,10 @@ from hopcheck.data_model import (
     Passage,
     QAInstance,
     TooManyGoldPassagesError,
-    canonical_serialize,
+    canonical_row,
+    from_canonical_row,
     load_instances,
-    parse_canonical,
-    write_canonical,
+    write_jsonl,
 )
 
 
@@ -50,7 +50,7 @@ def test_loading_is_deterministic_per_seed(tmp_path):
     a = load_instances(path, Dataset.HOTPOTQA, seed=7)
     b = load_instances(path, Dataset.HOTPOTQA, seed=7)
     c = load_instances(path, Dataset.HOTPOTQA, seed=8)
-    assert [canonical_serialize(i) for i in a] == [canonical_serialize(i) for i in b]
+    assert [canonical_row(i) for i in a] == [canonical_row(i) for i in b]
     assert [p.title for p in a[0].passages] != [p.title for p in c[0].passages]
 
 
@@ -99,12 +99,10 @@ def test_canonical_round_trip(tmp_path):
     src.write_text(json.dumps([_hotpot_record()]))
     instances = load_instances(src, Dataset.TWOWIKI, seed=3)
     out = tmp_path / "canon.jsonl"
-    write_canonical(instances, out)
+    write_jsonl(out, map(canonical_row, instances))
     reloaded = load_instances(out, Dataset.CANONICAL, seed=0)
-    assert [canonical_serialize(i) for i in reloaded] == [
-        canonical_serialize(i) for i in instances
-    ]
-    assert parse_canonical(canonical_serialize(instances[0])) == instances[0]
+    assert [canonical_row(i) for i in reloaded] == [canonical_row(i) for i in instances]
+    assert from_canonical_row(canonical_row(instances[0])) == instances[0]
 
 
 def test_instance_invariants():

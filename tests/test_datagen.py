@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from hopcheck.data_model import Dataset, Passage, QAInstance
+from hopcheck.data_model import Dataset, Passage, QAInstance, write_jsonl
 from hopcheck.datagen import (
     DEFAULT_ERROR_QUOTAS,
     DatagenError,
@@ -20,7 +20,6 @@ from hopcheck.datagen import (
     import_refined,
     inject_error,
     parse_plan,
-    write_train,
 )
 from hopcheck.llm_client import ChatRequest, ChatResponse, ScriptedBackend
 from hopcheck.step_grammar import ReasoningStep, StepKind, Trajectory
@@ -338,7 +337,7 @@ def test_write_train_jsonl(tmp_path):
     instance, traj = make_instance(), make_trajectory()
     examples = [ideal_example(instance, traj, 1)]
     path = tmp_path / "train.jsonl"
-    write_train(examples, path)
+    write_jsonl(path, (ex.to_dict() for ex in examples))
     row = json.loads(path.read_text().splitlines()[0])
     assert row["provenance"] == "Ideal"
     assert row["feedback"]["error_type"] == "Correct"

@@ -6,7 +6,7 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopcheck.data_model import Dataset, Passage, QAInstance
+from hopcheck.data_model import Dataset, Passage, QAInstance, write_jsonl
 from hopcheck.feedback_loop import (
     CacheLedger,
     FeedbackMode,
@@ -20,7 +20,6 @@ from hopcheck.feedback_loop import (
     score_delta,
     _LedgerTracker,
     update_ledger,
-    write_runs,
 )
 from hopcheck.llm_client import ChatRequest, ChatResponse, ScriptedBackend, Usage
 from hopcheck.step_grammar import StepKind, Trajectory
@@ -430,7 +429,7 @@ def test_write_runs_jsonl(tmp_path):
     cfg = LoopConfig(max_steps=1, max_retries=0, mode=FeedbackMode.NO_FEEDBACK)
     rec = run_instance(cfg, make_instance(), fifo("Step 1: ####ANSWER: x (Final Answer)"))
     path = tmp_path / "runs.jsonl"
-    write_runs([rec], path)
+    write_jsonl(path, [rec.to_dict()])
     lines = path.read_text().splitlines()
     assert len(lines) == 1
     row = json.loads(lines[0])

@@ -1,9 +1,11 @@
 import random
 import time
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 
+from hopcheck.data_model import read_jsonl, write_jsonl
 from hopcheck.kg_graph import (
     MAX_HOPS,
     AliasGroup,
@@ -247,9 +249,15 @@ def test_verdict_serialization():
     assert d["pattern"] == "Sequential"
 
 
-def test_kg_jsonl_round_trip_is_stable():
+def test_kg_jsonl_round_trip_is_stable(tmp_path):
     kg = _kg([("A", "r", "B", 1), ("B", "s", "C", 2)])
-    assert kg.to_jsonl() == build_kg(list(kg.triples), list(kg.resolution)).to_jsonl()
+    path = tmp_path / "kg.jsonl"
+    write_jsonl(path, map(asdict, kg.edges))
+    rebuilt = build_kg(list(kg.triples), list(kg.resolution))
+    assert read_jsonl(path) == [
+        {"head": e.head, "relation": e.relation, "tail": e.tail, "sources": list(e.sources)}
+        for e in rebuilt.edges
+    ]
 
 
 def test_oracle_spot_check_200_random_graphs():
@@ -258,7 +266,7 @@ def test_oracle_spot_check_200_random_graphs():
         kg, entities, answer = random_case(rng)
         got = find_grounded_path(kg, entities, answer).is_valid
         want = oracle_is_valid(kg, entities, answer)
-        assert got == want, (entities, answer, kg.to_jsonl())
+        assert got == want, (entities, answer, kg.edges)
 
 
 def test_search_matches_exhaustive_reference():
@@ -274,10 +282,10 @@ def test_search_matches_exhaustive_reference():
             assert all(normalize(g) for g in golds)
             want = kg_reference.find_grounded_path(kg, entities, answer)
             got = find_grounded_path(kg, entities, answer)
-            assert got.to_dict() == want.to_dict(), (entities, answer, kg.to_jsonl())
+            assert got.to_dict() == want.to_dict(), (entities, answer, kg.edges)
             label = classify_noise(got, kg, question, entities, golds)
             assert label is kg_reference.classify_noise(want, kg, question, entities, golds), (
-                question, entities, golds, kg.to_jsonl()
+                question, entities, golds, kg.edges
             )
             labels[label] += 1
             parallel += got.is_valid and got.pattern is PathPattern.PARALLEL
