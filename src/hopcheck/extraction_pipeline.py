@@ -26,10 +26,12 @@ from .kg_graph import (
     classify_noise,
     find_grounded_path,
     parse_orderable,
+    primary_answer,
 )
 from .llm_client import (
     Backend,
     ParseFailure,
+    TransportError,
     ask,
     parse_json_list,
     parse_structured_verdict,
@@ -89,7 +91,6 @@ def _triples_json(triples: list[Triple]) -> str:
 class ExtractionResult:
     triples: tuple[Triple, ...]
     calls: int
-    gleaning_rounds: int
     rejected: int
     failed_passages: tuple[int, ...]  # passage indices whose output did not parse
 
@@ -115,7 +116,6 @@ def extract_triples(
     return ExtractionResult(
         triples=tuple(triples),
         calls=calls,
-        gleaning_rounds=0,
         rejected=rejected,
         failed_passages=tuple(failed),
     )
@@ -127,15 +127,14 @@ def glean(
     existing: list[Triple],
     source_passage: int,
     model_id: str = "default",
-    max_rounds: int = MAX_GLEANING_ROUNDS,
 ) -> tuple[list[Triple], int]:
     """Recall pass over one passage: ask for missed triples, at most
-    max_rounds times, stopping early once a round adds nothing new."""
+    MAX_GLEANING_ROUNDS times, stopping early once a round adds nothing new."""
     known = {_triple_key(t) for t in existing}
     pool = list(existing)
     added: list[Triple] = []
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(MAX_GLEANING_ROUNDS):
         _, resp = ask(backend, "gleaning", model_id, body=body, existing_triples=_triples_json(pool))
         rounds += 1
         parsed = parse_json_list(resp.text)
@@ -264,7 +263,7 @@ def _llm_verdict(
     _, resp = ask(
         backend, "path_discovery", model_id,
         question=instance.question,
-        answer=instance.gold_answers[0],
+        answer=primary_answer(instance.gold_answers),
         triples=_triples_json([e.triple() for e in kg.edges]),
     )
     obj = parse_structured_verdict(resp.text, required_keys=("is_valid", "reasoning_path"))
@@ -297,53 +296,60 @@ def verify_instance(
     deterministic: graph search decides validity. llm: a model reads the
     normalized triples and decides. cross-check: both run and any
     validity disagreement is recorded; the deterministic verdict is
-    primary.
+    primary. A failed backend call leaves the instance unverified, with an
+    empty graph and a `backend_failed:<error>` flag.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"mode must be one of {VERIFY_MODES}, got {mode!r}")
+    try:
+        extraction = extract_triples(backend, instance, model_id)
+        triples = list(extraction.triples)
+        gleaning_rounds = 0
+        gleaned = 0
+        for passage in instance.gold_passages:
+            if passage.index in extraction.failed_passages:
+                continue
+            own = [t for t in triples if t.source_passage == passage.index]
+            fresh, rounds = glean(backend, passage.body, own, passage.index, model_id)
+            triples.extend(fresh)
+            gleaned += len(fresh)
+            gleaning_rounds += rounds
 
-    extraction = extract_triples(backend, instance, model_id)
-    triples = list(extraction.triples)
-    gleaning_rounds = 0
-    gleaned = 0
-    for passage in instance.gold_passages:
-        if passage.index in extraction.failed_passages:
-            continue
-        own = [t for t in triples if t.source_passage == passage.index]
-        fresh, rounds = glean(backend, passage.body, own, passage.index, model_id)
-        triples.extend(fresh)
-        gleaned += len(fresh)
-        gleaning_rounds += rounds
+        flags = [f"extraction_failed_passage_{i}" for i in extraction.failed_passages]
+        counters = {
+            "extraction_calls": extraction.calls,
+            "gleaning_rounds": gleaning_rounds,
+            "gleaned_triples": gleaned,
+            "rejected_triples": extraction.rejected,
+            "triples": len(triples),
+        }
 
-    flags = [f"extraction_failed_passage_{i}" for i in extraction.failed_passages]
-    counters = {
-        "extraction_calls": extraction.calls,
-        "gleaning_rounds": gleaning_rounds,
-        "gleaned_triples": gleaned,
-        "rejected_triples": extraction.rejected,
-        "triples": len(triples),
-    }
+        if not triples:
+            return InstanceReport(
+                instance_id=instance.id,
+                verdict=PathVerdict(False, (), PathPattern.SEQUENTIAL, "no triples extracted"),
+                noise_label=None,
+                kg=build_kg([], []),
+                counters=counters,
+                flags=tuple(flags + ["unverified"]),
+            )
 
-    if not triples:
-        empty = build_kg([], [])
+        groups, resolved = resolve_entities(backend, triples, model_id)
+        if not resolved:
+            flags.append("entity_resolution_unparseable")
+        counters["alias_groups"] = len(groups)
+        kg = build_kg(triples, groups)
+        llm = _llm_verdict(backend, kg, instance, model_id) if mode != "deterministic" else None
+    except TransportError as exc:
         return InstanceReport(
             instance_id=instance.id,
-            verdict=PathVerdict(False, (), PathPattern.SEQUENTIAL, "no triples extracted"),
+            verdict=PathVerdict(False, (), PathPattern.SEQUENTIAL, f"backend failed: {exc}"),
             noise_label=None,
-            kg=empty,
-            counters=counters,
-            flags=tuple(flags + ["unverified"]),
+            kg=build_kg([], []),
+            flags=(f"backend_failed:{type(exc).__name__}", "unverified"),
         )
 
-    groups, resolved = resolve_entities(backend, triples, model_id)
-    if not resolved:
-        flags.append("entity_resolution_unparseable")
-    counters["alias_groups"] = len(groups)
-    kg = build_kg(triples, groups)
-
     det = _deterministic_verdict(kg, instance) if mode != "llm" else None
-    llm = _llm_verdict(backend, kg, instance, model_id) if mode != "deterministic" else None
-
     if mode == "llm":
         if llm is None:
             return InstanceReport(

@@ -70,6 +70,11 @@ def predicates_match(a: str, b: str) -> bool:
     return predicate_class(a) == predicate_class(b)
 
 
+def primary_answer(gold_answers: tuple[str, ...]) -> str:
+    """The first gold answer that normalizes non-empty, else the first one."""
+    return next((g for g in gold_answers if normalize(g)), gold_answers[0])
+
+
 def answer_matches(answer: str, node_label: str) -> bool:
     """Normalized containment match, token-aligned in either direction.
 
@@ -578,7 +583,7 @@ def classify_noise(
     if verdict.is_valid:
         return NoiseLabel.GROUNDED
 
-    answer = next((g for g in gold_answers if normalize(g)), gold_answers[0])
+    answer = primary_answer(gold_answers)
     entity_keys = _match_question_entities(kg, question_entities)
 
     # A boolean comparison that completed but with the opposite outcome.

@@ -7,7 +7,7 @@ from collections import Counter
 from typing import Sequence
 
 from .data_model import AnswerVerdict, JudgeVerdict
-from .llm_client import Backend, ParseFailure, ask, parse_structured_verdict
+from .llm_client import Backend, ParseFailure, TransportError, ask, parse_structured_verdict
 from .textnorm import normalize, tokens
 
 
@@ -49,19 +49,22 @@ def judge(
     """Semantic-equivalence verdict; (verdict, reasoning, called_backend).
 
     A prediction byte-equal to a gold answer short-circuits to Correct
-    without a backend call. An unparseable judge response is Unjudged,
-    never silently Wrong.
+    without a backend call. An unparseable judge response or a failed
+    backend call is Unjudged, never silently Wrong.
     """
     if not golds:
         raise ValueError("golds must be non-empty")
     if any(pred == g for g in golds):
         return JudgeVerdict.CORRECT, "byte-equal to a gold answer", False
-    _, resp = ask(
-        backend, "judge", model_id,
-        question=question,
-        predicted=pred,
-        gold_answers=json.dumps(list(golds), ensure_ascii=False),
-    )
+    try:
+        _, resp = ask(
+            backend, "judge", model_id,
+            question=question,
+            predicted=pred,
+            gold_answers=json.dumps(list(golds), ensure_ascii=False),
+        )
+    except TransportError as exc:
+        return JudgeVerdict.UNJUDGED, f"backend failed: {exc}", True
     obj = parse_structured_verdict(resp.text, required_keys=("is_correct",))
     if isinstance(obj, ParseFailure):
         return JudgeVerdict.UNJUDGED, f"unparseable judge response: {obj.reason}", True

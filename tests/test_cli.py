@@ -7,7 +7,7 @@ import pytest
 from hopcheck import cli
 from hopcheck.cli import main
 from hopcheck.data_model import Dataset, Passage, QAInstance, canonical_row, write_jsonl
-from hopcheck.llm_client import ChatResponse, ScriptedBackend
+from hopcheck.llm_client import ChatResponse, ScriptedBackend, TransportError
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -151,6 +151,35 @@ def test_verify_benchmark_over_fixture_pack(tmp_path, capsys):
     assert (stats_out / "noise_stats.json").read_bytes() == (out / "noise_stats.json").read_bytes()
 
 
+def test_verify_benchmark_survives_failed_backend_call(tmp_path, monkeypatch):
+    from fixture_utils import build_instance, load_noise_fixtures
+
+    first, second = load_noise_fixtures()["grounded"][:2]
+    # None: the first instance's first call fails, which ends that instance.
+    replies = [None, *second["extraction"], *["[]"] * len(second["gold_passages"]),
+               second["resolution"]]
+
+    def respond(req):
+        text = replies.pop(0)
+        if text is None:
+            raise TransportError("connection refused", 3)
+        return ChatResponse(text=text)
+
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: ScriptedBackend(responder=respond))
+    corpus = write_corpus(tmp_path / "c.jsonl", [build_instance(first), build_instance(second)])
+    out = tmp_path / "out"
+    assert main(["verify-benchmark", "--in", corpus, "--out", str(out)]) == 0
+    assert not replies
+    reports = [json.loads(l) for l in (out / "reports.jsonl").read_text().splitlines()]
+    assert len(reports) == 2
+    assert reports[0]["noise_label"] is None
+    assert reports[0]["flags"] == ["backend_failed:TransportError", "unverified"]
+    assert reports[1]["noise_label"] == second["expected_label"]
+    assert (out / "kg" / f"{first['id']}.jsonl").read_text() == ""
+    stats = json.loads((out / "noise_stats.json").read_text())
+    assert stats["unverified"] == 1 and stats["total"] == 1
+
+
 def _synthesis_teacher(models):
     """Answers plan, ideal-reasoning and error-injection prompts for
     make_instance and records the model id of every request."""
@@ -229,22 +258,32 @@ def _score_with_judge(tmp_path, judge_replies):
     assert main(["score", "--runs", str(runs), "--in", corpus, "--judge", "on",
                  "--config", str(cfg), "--out", str(out)]) == 0
     rows = [json.loads(l) for l in (out / "scores.jsonl").read_text().splitlines()]
-    return [r["judge"] for r in rows], json.loads((out / "aggregate.json").read_text())["table"]
+    return rows, json.loads((out / "aggregate.json").read_text())["table"]
 
 
 def test_score_judge_on_table(tmp_path):
     correct, wrong = '{"is_correct": "correct"}', '{"is_correct": "wrong"}'
-    verdicts, table = _score_with_judge(tmp_path / "mixed", [correct, wrong, "no verdict here"])
-    assert verdicts == ["Correct", "Wrong", "Unjudged"]
+    rows, table = _score_with_judge(tmp_path / "mixed", [correct, wrong, "no verdict here"])
+    assert [r["judge"] for r in rows] == ["Correct", "Wrong", "Unjudged"]
     assert table["hotpotqa"]["acc"] == 0.5  # over the two judged rows only
     assert table["hotpotqa"]["unjudged"] == 1
     assert table["hotpotqa"]["em"] == round(1 / 3, 4)
     assert "average" not in table
 
-    verdicts, table = _score_with_judge(tmp_path / "judged", [correct, wrong, correct])
-    assert verdicts == ["Correct", "Wrong", "Correct"]
+    rows, table = _score_with_judge(tmp_path / "judged", [correct, wrong, correct])
+    assert [r["judge"] for r in rows] == ["Correct", "Wrong", "Correct"]
     assert table["hotpotqa"]["unjudged"] == 0
     assert table["average"] == {"acc": round(2 / 3, 4)}
+
+
+def test_score_judge_on_survives_failed_call(tmp_path):
+    # Two replies for three rows: the third judge call finds no scripted reply.
+    rows, table = _score_with_judge(
+        tmp_path / "failed", ['{"is_correct": "correct"}', '{"is_correct": "wrong"}']
+    )
+    assert [r["judge"] for r in rows] == ["Correct", "Wrong", "Unjudged"]
+    assert rows[2]["judge_reasoning"].startswith("backend failed: ")
+    assert table["hotpotqa"]["unjudged"] == 1
 
 
 def test_score_unknown_instance_errors(tmp_path):

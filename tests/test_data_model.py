@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from hopcheck.data_model import (
     canonical_row,
     from_canonical_row,
     load_instances,
+    read_jsonl,
+    write_json,
     write_jsonl,
 )
 
@@ -124,3 +127,33 @@ def test_passage_and_verdict_invariants():
         Passage(1, "t", "", False)
     with pytest.raises(ValueError):
         AnswerVerdict(em=1, f1=0.5)
+
+
+@pytest.mark.parametrize(
+    "write", [lambda path: write_jsonl(path, [{"a": 1}, {"b": {1, 2}}]),
+              lambda path: write_json(path, {"a": {1, 2}})],
+    ids=["write_jsonl", "write_json"],
+)
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, write):
+    target = tmp_path / "out.jsonl"
+    target.write_bytes(b'{"old": true}\n')
+    with pytest.raises(TypeError):
+        write(target)
+    assert target.read_bytes() == b'{"old": true}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+def test_writers_format(tmp_path):
+    write_jsonl(tmp_path / "rows.jsonl", [{"b": "é", "a": 1}, {}])
+    assert (tmp_path / "rows.jsonl").read_text("utf-8") == '{"a": 1, "b": "é"}\n{}\n'
+    write_json(tmp_path / "obj.json", {"b": [1], "a": "é"})
+    assert (tmp_path / "obj.json").read_text("utf-8") == '{\n  "a": "é",\n  "b": [\n    1\n  ]\n}\n'
+
+
+def test_read_jsonl_skips_blank_lines_and_names_bad_line(tmp_path):
+    path = tmp_path / "runs.jsonl"
+    path.write_text('{"a": 1}\n\n{"b": 2}\n')
+    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+    path.write_text('{"a": 1}\n{"b": \n')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        read_jsonl(path)

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -177,6 +178,22 @@ def test_llm_verdict_skips_triple_with_blank_slot(mode):
     llm = report.verdict if mode == "llm" else report.alt_verdict
     assert llm.is_valid
     assert llm.reasoning_path == (Triple("A", "born in", "B"),)
+
+
+def test_llm_verdict_sends_first_usable_gold_answer():
+    record = _ALL_RECORDS[0]
+    instance = replace(build_instance(record), gold_answers=("The", "Mantua"))
+    replies = [*record["extraction"], *["[]"] * len(record["gold_passages"]),
+               record["resolution"], json.dumps({"is_valid": True, "reasoning_path": []})]
+    prompts = []
+
+    def respond(req):
+        prompts.append(req.messages[0].content)
+        return ChatResponse(text=replies[len(prompts) - 1])
+
+    verify_instance(ScriptedBackend(responder=respond), instance, mode="llm")
+    assert len(prompts) == len(replies)
+    assert "Ground Truth Answer: Mantua" in prompts[-1]
 
 
 def test_cross_check_records_disagreement():

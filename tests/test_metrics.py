@@ -88,6 +88,11 @@ def test_judge_scripted_verdicts():
     )
     assert verdict is JudgeVerdict.UNJUDGED
 
+    # An empty script raises TransportError: the row is Unjudged, not lost.
+    verdict, reasoning, called = judge(fifo(), "q", "x", ["y"])
+    assert verdict is JudgeVerdict.UNJUDGED and called
+    assert reasoning.startswith("backend failed: ")
+
 
 def test_score_answer_with_and_without_judge():
     v = score_answer("Karachi, Pakistan", ["Karachi"])
