@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -108,7 +107,8 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
             backend, inst, mode=mode, model_id=resolved.get("model", "default")
         )
         reports.append(report)
-        write_jsonl(out_dir / "kg" / f"{inst.id}.jsonl", map(asdict, report.kg.edges))
+        # vars, not dataclasses.asdict, which deep-copies every edge.
+        write_jsonl(out_dir / "kg" / f"{inst.id}.jsonl", map(vars, report.kg.edges))
     rows = [report.to_dict() for report in reports]
     write_jsonl(out_dir / "reports.jsonl", rows)
     write_jsonl(out_dir / "disagreements.jsonl", [row for row in rows if row["disagreement"]])

@@ -249,17 +249,20 @@ def load_canonical(path: str | Path) -> list[QAInstance]:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
-    """The rows of a JSONL file, skipping blank lines. A malformed line
-    raises ValueError naming `path:lineno`."""
+    """The rows of a JSONL file, skipping blank lines. A line that is not
+    a JSON object raises ValueError naming `path:lineno`."""
     rows = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not isinstance(row, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
+            rows.append(row)
     return rows
 
 

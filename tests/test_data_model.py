@@ -154,6 +154,7 @@ def test_read_jsonl_skips_blank_lines_and_names_bad_line(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text('{"a": 1}\n\n{"b": 2}\n')
     assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
-    path.write_text('{"a": 1}\n{"b": \n')
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-        read_jsonl(path)
+    for bad_line in ('{"b": ', "[1]"):
+        path.write_text('{"a": 1}\n' + bad_line + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+            read_jsonl(path)

@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import asdict
 
 import pytest
 
@@ -252,7 +251,7 @@ def test_verdict_serialization():
 def test_kg_jsonl_round_trip_is_stable(tmp_path):
     kg = _kg([("A", "r", "B", 1), ("B", "s", "C", 2)])
     path = tmp_path / "kg.jsonl"
-    write_jsonl(path, map(asdict, kg.edges))
+    write_jsonl(path, map(vars, kg.edges))
     rebuilt = build_kg(list(kg.triples), list(kg.resolution))
     assert read_jsonl(path) == [
         {"head": e.head, "relation": e.relation, "tail": e.tail, "sources": list(e.sources)}
