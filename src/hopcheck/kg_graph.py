@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 
@@ -197,45 +197,33 @@ def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
     labels: dict[str, str] = {}
 
     def resolve(surface: str) -> tuple[str, str]:
-        canon = aliases.get(canonical_key(surface), surface)
-        key = canonical_key(canon)
-        label = labels.setdefault(key, canon)
-        return key, label
+        key = canonical_key(surface)
+        if key in aliases:
+            surface = aliases[key]
+            key = canonical_key(surface)
+        return key, labels.setdefault(key, surface)
 
-    dedup: dict[tuple[str, str, str], dict] = {}
+    # (head key, relation key, tail key) -> (head label, relation, tail label, sources)
+    dedup: dict[tuple[str, str, str], tuple[str, str, str, set[int]]] = {}
+    adjacency: dict[str, list[tuple[str, str, str]]] = {}
     for t in triples:
         hk, hl = resolve(t.head)
         tk, tl = resolve(t.tail)
-        pk = canonical_key(t.relation)
-        entry = dedup.setdefault(
-            (hk, pk, tk),
-            {"head": hl, "relation": t.relation, "tail": tl, "sources": []},
-        )
-        if t.source_passage not in entry["sources"]:
-            entry["sources"].append(t.source_passage)
+        dedup_key = (hk, canonical_key(t.relation), tk)
+        if dedup_key not in dedup:
+            edge_id = str(len(dedup))
+            adjacency.setdefault(hk, []).append((tk, t.relation, edge_id))
+            adjacency.setdefault(tk, []).append((hk, t.relation, edge_id))
+            dedup[dedup_key] = (hl, t.relation, tl, set())
+        dedup[dedup_key][3].add(t.source_passage)
 
-    edges = tuple(
-        Edge(head=e["head"], relation=e["relation"], tail=e["tail"], sources=tuple(sorted(e["sources"])))
-        for e in dedup.values()
-    )
-    canon_triples = tuple(
-        Triple(e.head, e.relation, e.tail, src) for e in edges for src in e.sources
-    )
-
-    adjacency: dict[str, list[tuple[str, str, str]]] = {}
-    for i, e in enumerate(edges):
-        hk, tk = canonical_key(e.head), canonical_key(e.tail)
-        edge_id = str(i)
-        adjacency.setdefault(hk, []).append((tk, e.relation, edge_id))
-        adjacency.setdefault(tk, []).append((hk, e.relation, edge_id))
-    frozen_adj = {k: tuple(sorted(v)) for k, v in adjacency.items()}
-
+    edges = tuple(Edge(h, r, tl, tuple(sorted(srcs))) for h, r, tl, srcs in dedup.values())
     return LocalizedKG(
-        triples=canon_triples,
+        triples=tuple(Triple(e.head, e.relation, e.tail, src) for e in edges for src in e.sources),
         resolution=tuple(groups),
-        nodes=dict(labels),
+        nodes=labels,
         edges=edges,
-        adjacency=frozen_adj,
+        adjacency={k: tuple(sorted(v)) for k, v in adjacency.items()},
         aliases=aliases,
     )
 
@@ -542,27 +530,21 @@ def _complete_contradicting_chain(
 
 
 def _conflation_candidates(kg: LocalizedKG) -> list[tuple[str, str]]:
-    keys = sorted(k for k in kg.adjacency)
-    pairs = []
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            if len(content_tokens(kg.nodes[a]) & content_tokens(kg.nodes[b])) >= 2:
-                pairs.append((a, b))
-    return pairs
+    keys = sorted(kg.adjacency)
+    tokens = {k: content_tokens(kg.nodes[k]) for k in keys}
+    return [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if len(tokens[a] & tokens[b]) >= 2]
 
 
 def _merged_kg(kg: LocalizedKG, a: str, b: str) -> LocalizedKG:
-    group = AliasGroup(members=frozenset({kg.nodes[a], kg.nodes[b]}), canonical=kg.nodes[a])
-    groups = list(kg.resolution)
-    merged_members = set(group.members)
-    kept = []
-    for g in groups:
-        if g.members & merged_members:
-            merged_members |= g.members
-        else:
-            kept.append(g)
-    kept.append(AliasGroup(members=frozenset(merged_members), canonical=kg.nodes[a]))
-    return build_kg(list(kg.triples), kept)
+    """kg with nodes a and b merged under a's label.
+
+    kg.triples are already canonical, so only the merged pair resolves
+    anew; parent aliases that named a or b now name the merged node.
+    """
+    label = kg.nodes[a]
+    merged = build_kg(list(kg.triples), [AliasGroup(frozenset({label, kg.nodes[b]}), label)])
+    aliases = {m: label if canonical_key(c) in (a, b) else c for m, c in kg.aliases.items()}
+    return replace(merged, aliases={**aliases, **merged.aliases})
 
 
 def classify_noise(

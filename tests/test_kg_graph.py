@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from hopcheck import kg_graph
 from hopcheck.data_model import read_jsonl, write_jsonl
 from hopcheck.kg_graph import (
     MAX_HOPS,
@@ -86,6 +87,38 @@ def test_build_kg_alias_merging():
     )
     assert canonical_key("Paul Joseph") not in kg.adjacency
     assert kg.degree(canonical_key("Paul Mercurio")) == 2
+
+
+def test_build_kg_normalizes_each_alias_free_string_once(monkeypatch):
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize(text)
+
+    monkeypatch.setattr(kg_graph, "normalize", counting_normalize)
+    triples = [Triple(f"head {i}", f"relation {i}", f"tail {i}", i) for i in range(25)]
+    kg = build_kg(triples, [])
+    assert len(kg.edges) == 25
+    assert len(calls) == 3 * len(triples)
+
+
+def test_merged_kg_equals_rebuild_from_merged_alias_groups():
+    """Merging a conflation pair equals the reference's full rebuild through
+    every alias group, field by field, on the differential test's cases."""
+    pairs = 0
+    for generate, seed in ((random_case, 11), (conflation_case, 12)):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            kg, entities, answer = generate(rng)
+            question_and_golds(rng, entities, answer, kg)
+            for a, b in kg_graph._conflation_candidates(kg):
+                got = kg_graph._merged_kg(kg, a, b)
+                want = kg_reference._merged_kg(kg, a, b)
+                for name in ("nodes", "edges", "adjacency", "aliases", "triples"):
+                    assert getattr(got, name) == getattr(want, name), (name, a, b, kg.edges)
+                pairs += 1
+    assert pairs > 5000
 
 
 def test_overlapping_alias_groups_rejected():
