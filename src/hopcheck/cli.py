@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from . import __version__
 from .data_model import (
-    Dataset, JudgeVerdict, canonical_row, load_canonical, load_instances, read_jsonl,
+    Dataset, JudgeVerdict, canonical_row, load_canonical, load_instances, read_json, read_jsonl,
     write_json, write_jsonl,
 )
 from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan
@@ -18,7 +17,7 @@ from .extraction_pipeline import (
     MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, corpus_stats, verify_instance,
 )
 from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table
-from .llm_client import OpenAIBackend, ScriptedBackend
+from .llm_client import OpenAIBackend, ScriptedBackend, TransportError
 from .metrics import score_answer
 
 
@@ -29,8 +28,7 @@ class ConfigError(ValueError):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    cfg = read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
     return cfg
@@ -90,6 +88,10 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     if mode not in VERIFY_MODES:
         raise ConfigError(f"mode must be one of {VERIFY_MODES}")
     instances = load_canonical(args.infile)
+    for inst in instances:
+        # The id names the instance's kg/<id>.jsonl file.
+        if inst.id in ("", ".", "..") or "/" in inst.id or "\\" in inst.id:
+            raise ConfigError(f"instance id {inst.id!r} is not a plain file name")
     if args.dry_run:
         per = 0
         for inst in instances:
@@ -243,18 +245,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, dry_run: bool = True) -> None:
         p.add_argument("--config", help="JSON config file; flags override its scalars")
-        p.add_argument("--dry-run", action="store_true",
-                       help="print the planned request count; no backend calls")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        if dry_run:
+            p.add_argument("--dry-run", action="store_true",
+                           help="print the planned request count; no backend calls")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("ingest", help="normalize a benchmark file into canonical JSONL")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--dataset", choices=[d.value for d in Dataset])
     p.add_argument("--seed", type=int)
-    common(p)
+    common(p, dry_run=False)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("verify-benchmark", help="KG-grounded noise verification")
@@ -296,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="noise statistics over a reports file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--config")
-    p.add_argument("--dry-run", action="store_true")
     p.set_defaults(func=_cmd_stats)
 
     return parser
@@ -312,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(getattr(args, "config", None))
         return args.func(args, config)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,9 +4,9 @@ Loads 2WikiMultihopQA / HotpotQA JSON and MuSiQue JSONL records into a
 uniform 10-passage distractor setting. All types are immutable after
 construction; loading is read-only and safe to parallelize per file.
 
-Every JSONL file the package reads goes through `read_jsonl`, and every
-JSONL or JSON artifact it writes goes through `write_jsonl` or
-`write_json`, which write a temp file and rename it over the target.
+Every JSON or JSONL file the package reads goes through `read_json` or
+`read_jsonl`, and every one it writes goes through `write_json` or
+`write_jsonl`, which write a temp file and rename it over the target.
 """
 
 from __future__ import annotations
@@ -154,8 +154,7 @@ def _finalize(
 
 
 def _load_hotpot_style(path: Path, dataset: Dataset, seed: int) -> list[QAInstance]:
-    with open(path, encoding="utf-8") as fh:
-        records = json.load(fh)
+    records = read_json(path)
     instances = []
     for i, rec in enumerate(records):
         try:
@@ -246,6 +245,16 @@ def from_canonical_row(rec: dict) -> QAInstance:
 
 def load_canonical(path: str | Path) -> list[QAInstance]:
     return [from_canonical_row(rec) for rec in read_jsonl(path)]
+
+
+def read_json(path: str | Path) -> Any:
+    """The value held by a JSON file. A file that does not parse raises
+    ValueError naming `path`."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

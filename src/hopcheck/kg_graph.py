@@ -217,7 +217,7 @@ def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
             dedup[dedup_key] = (hl, t.relation, tl, set())
         dedup[dedup_key][3].add(t.source_passage)
 
-    edges = tuple(Edge(h, r, tl, tuple(sorted(srcs))) for h, r, tl, srcs in dedup.values())
+    edges = tuple(Edge(head, rel, tail, tuple(sorted(srcs))) for head, rel, tail, srcs in dedup.values())
     return LocalizedKG(
         triples=tuple(Triple(e.head, e.relation, e.tail, src) for e in edges for src in e.sources),
         resolution=tuple(groups),
@@ -363,7 +363,8 @@ def find_grounded_path(
     compared entity reaches an attribute through semantically matching
     predicates and the attribute values decide the answer (equality for
     yes/no, date/number ordering otherwise). Undecidable comparisons are
-    reported invalid with an "ambiguous" explanation marker.
+    reported invalid with the Parallel pattern and an "ambiguous"
+    explanation.
     """
     if not question_entities:
         raise ValueError("question_entities must be non-empty")
@@ -589,7 +590,8 @@ def classify_noise(
             if find_grounded_path(merged, question_entities, answer).is_valid:
                 return NoiseLabel.ENTITY_CONFLATION
 
-    if verdict.explanation.startswith("ambiguous"):
+    # The only invalid Parallel verdict the search returns is the ambiguous one.
+    if verdict.pattern is PathPattern.PARALLEL:
         return NoiseLabel.AMBIGUOUS
 
     return NoiseLabel.MISSING_EVIDENCE

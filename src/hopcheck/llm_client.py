@@ -21,7 +21,7 @@ from typing import Callable, Protocol
 
 import requests
 
-from .data_model import write_json
+from .data_model import read_json, write_json
 
 PROMPT_NAMES = (
     "step_generation",
@@ -155,11 +155,9 @@ class ScriptedBackend:
 
     @classmethod
     def from_fixture(cls, path: str | Path) -> "ScriptedBackend":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
         by_key = {}
         script = []
-        for entry in data:
+        for entry in read_json(path):
             usage = Usage(**entry.get("usage", {}))
             resp = ChatResponse(text=entry["text"], usage=usage)
             if entry.get("key"):

@@ -56,6 +56,39 @@ def test_missing_input_file_returns_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--dataset", "hotpotqa", "--out", "OUT", "--dry-run"],
+    ["stats", "--out", "OUT", "--dry-run"],
+    ["stats", "--out", "OUT", "--config", "cfg.json"],
+], ids=["ingest-dry-run", "stats-dry-run", "stats-config"])
+def test_flags_that_did_nothing_are_usage_errors(tmp_path, capsys, argv):
+    raw = hotpot_file(tmp_path)
+    out = tmp_path / "out"
+    argv = [str(out) if a == "OUT" else a for a in argv]
+    assert main([argv[0], "--in", raw, *argv[1:]]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["config", "fixture", "hotpotqa"])
+def test_truncated_json_input_error_names_its_path(tmp_path, capsys, which):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"backend": {"type": ')
+    argv = ["ingest", "--in", hotpot_file(tmp_path), "--dataset", "hotpotqa",
+            "--out", str(tmp_path / "out")]
+    if which == "config":
+        argv += ["--config", str(truncated)]
+    elif which == "fixture":
+        corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(truncated)}}))
+        argv = ["verify-benchmark", "--in", corpus, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    else:
+        argv[2] = str(truncated)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(truncated) in err
+
+
 def test_ingest_idempotent_and_echoes_config(tmp_path):
     raw = hotpot_file(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -180,6 +213,17 @@ def test_verify_benchmark_survives_failed_backend_call(tmp_path, monkeypatch):
     assert stats["unverified"] == 1 and stats["total"] == 1
 
 
+@pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "", ".", ".."])
+def test_verify_benchmark_rejects_ids_that_are_not_file_names(tmp_path, capsys, monkeypatch, bad_id):
+    backend = ScriptedBackend()
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("fine"), make_instance(bad_id)])
+    assert main(["verify-benchmark", "--in", corpus, "--out", str(tmp_path / "vo")]) == 1
+    assert capsys.readouterr().err == f"error: instance id {bad_id!r} is not a plain file name\n"
+    assert backend.calls == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
 def _synthesis_teacher(models):
     """Answers plan, ideal-reasoning and error-injection prompts for
     make_instance and records the model id of every request."""
@@ -218,6 +262,19 @@ def test_synthesize_model_reaches_every_request(tmp_path, monkeypatch):
     assert injected > 0
     assert len(models) == 2 * 2 + injected  # plan + ideal per instance, one per injection
     assert set(models) == {"teacher"}
+
+
+def test_synthesize_failed_backend_call_is_one_error_line(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
+    cfg = tmp_path / "cfg.json"
+    fixture = write_fixture(tmp_path / "fx.json", [])
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--in", corpus, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no scripted response for request ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_score_judge_off(tmp_path, capsys):

@@ -196,6 +196,15 @@ def test_llm_verdict_sends_first_usable_gold_answer():
     assert "Ground Truth Answer: Mantua" in prompts[-1]
 
 
+@pytest.mark.parametrize("explanation", ["ambiguous wording", "Ambiguous wording"])
+def test_llm_explanation_text_does_not_decide_the_label(explanation):
+    # Ambiguous comes from the search's comparison verdict, not from prose.
+    reply = {"is_valid": False, "reasoning_path": [], "explanation": explanation}
+    report = _llm_verify(json.dumps(reply), "llm")
+    assert report.noise_label is not None
+    assert report.noise_label is not NoiseLabel.AMBIGUOUS
+
+
 def test_cross_check_records_disagreement():
     reply = {"is_valid": False, "reasoning_path": [], "explanation": "x"}
     report = _llm_verify(json.dumps(reply), "cross-check")

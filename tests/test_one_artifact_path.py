@@ -1,5 +1,7 @@
-"""Only data_model writes files: every other module in src/hopcheck writes
-its artifacts through data_model.write_jsonl or data_model.write_json."""
+"""Only data_model writes files or parses them: every other module in
+src/hopcheck writes its artifacts through data_model.write_jsonl or
+data_model.write_json, and reads JSON files through data_model.read_json
+or data_model.read_jsonl."""
 
 import ast
 from pathlib import Path
@@ -51,6 +53,36 @@ def test_only_data_model_writes_files():
         for line, what in _writes(ast.parse(path.read_text("utf-8")))
     ]
     assert not found, f"file writes that bypass data_model.write_jsonl/write_json: {found}"
+
+
+def _json_file_reads(tree: ast.Module):
+    """Lines that call `json.load` or import it by name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name == "load" for alias in node.names):
+                yield node.lineno
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "load"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "json"
+        ):
+            yield node.lineno
+
+
+def test_only_data_model_calls_json_load():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "data_model.py"
+        for line in _json_file_reads(ast.parse(path.read_text("utf-8")))
+    ]
+    assert not found, f"json.load outside data_model.read_json: {found}"
+
+
+def test_json_load_guard_sees_each_form():
+    source = "import json\njson.load(fh)\nfrom json import load\nf = json.load\njson.loads(s)\n"
+    assert sorted(_json_file_reads(ast.parse(source))) == [2, 3, 4]
 
 
 def test_guard_sees_each_kind_of_write():
