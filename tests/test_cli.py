@@ -57,15 +57,13 @@ def test_missing_input_file_returns_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["ingest", "--dataset", "hotpotqa", "--out", "OUT", "--dry-run"],
-    ["stats", "--out", "OUT", "--dry-run"],
-    ["stats", "--out", "OUT", "--config", "cfg.json"],
+    ["ingest", "--dataset", "hotpotqa", "--dry-run"],
+    ["stats", "--dry-run"],
+    ["stats", "--config", "cfg.json"],
 ], ids=["ingest-dry-run", "stats-dry-run", "stats-config"])
 def test_flags_that_did_nothing_are_usage_errors(tmp_path, capsys, argv):
-    raw = hotpot_file(tmp_path)
     out = tmp_path / "out"
-    argv = [str(out) if a == "OUT" else a for a in argv]
-    assert main([argv[0], "--in", raw, *argv[1:]]) == 2
+    assert main([argv[0], "--in", hotpot_file(tmp_path), "--out", str(out), *argv[1:]]) == 2
     assert not out.exists()
 
 
@@ -73,18 +71,16 @@ def test_flags_that_did_nothing_are_usage_errors(tmp_path, capsys, argv):
 def test_truncated_json_input_error_names_its_path(tmp_path, capsys, which):
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"backend": {"type": ')
-    argv = ["ingest", "--in", hotpot_file(tmp_path), "--dataset", "hotpotqa",
-            "--out", str(tmp_path / "out")]
-    if which == "config":
-        argv += ["--config", str(truncated)]
-    elif which == "fixture":
-        corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(truncated)}}))
-        argv = ["verify-benchmark", "--in", corpus, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    else:
-        argv[2] = str(truncated)
-    assert main(argv) == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(truncated)}}))
+    argv = {
+        "config": ["ingest", "--in", hotpot_file(tmp_path), "--dataset", "hotpotqa",
+                   "--config", str(truncated)],
+        "fixture": ["verify-benchmark", "--in", write_corpus(tmp_path / "c.jsonl", [make_instance()]),
+                    "--config", str(cfg)],
+        "hotpotqa": ["ingest", "--in", str(truncated), "--dataset", "hotpotqa"],
+    }[which]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(truncated) in err
 
