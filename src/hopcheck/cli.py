@@ -171,9 +171,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
         plan = generate_plan(backend, inst.question, inst.dataset, model_id=model_id)
         pool.append((inst, generate_ideal(backend, inst, plan, model_id=model_id)))
     dataset_cfg = DatasetConfig(
-        total=total,
-        ideal_fraction=float(resolved.get("ideal_fraction", 0.34)),
-        seed=int(resolved.get("seed", 0)),
+        total=total, ideal_fraction=float(resolved.get("ideal_fraction", 0.34))
     )
     refined = read_jsonl(args.refined) if args.refined else []
     examples, manifest = build_dataset(backend, pool, dataset_cfg, refined, model_id)

@@ -26,7 +26,7 @@ from .step_grammar import (
     render_step,
     render_trajectory,
 )
-from .taxonomy import ErrorType, Feedback, admissible_errors, parse_error_type
+from .taxonomy import ErrorType, Feedback, admissible_errors
 
 
 class DatagenError(ValueError):
@@ -39,14 +39,6 @@ class PlanError(DatagenError):
 
 class QuotaInfeasibleError(DatagenError):
     pass
-
-
-class PlanFamily(str, Enum):
-    SIMPLE_COMPARISON = "Plan 1"
-    CALCULATED_COMPARISON = "Plan 2"
-    SET_COMPARISON = "Plan 3"
-    BRIDGE_COMPARISON = "Plan 4"
-    SEQUENTIAL = "Plan 5"
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,6 @@ class PlanStep:
 @dataclass(frozen=True)
 class ReasoningPlan:
     steps: tuple[PlanStep, ...]
-    family: PlanFamily
 
     def __post_init__(self) -> None:
         if not self.steps:
@@ -81,20 +72,6 @@ _PLAN_STEP_RE = re.compile(r"Step\s+(\d+)\s*:", re.IGNORECASE)
 _PLAN_TAG_RE = re.compile(r"\(\s*(Attribution|Logical)\s*\)\s*[,\]]?\s*$", re.IGNORECASE)
 # Attribution plan steps must not fetch an entity and its attribute at once.
 _NON_ATOMIC_RE = re.compile(r"\b(?:and|as well as)\s+(?:his|her|its|their)\b", re.IGNORECASE)
-
-
-def _classify_family(steps: list[PlanStep]) -> PlanFamily:
-    text = " ".join(s.text.lower() for s in steps)
-    comparison = "compare" in text or "comparison" in text
-    if not comparison:
-        return PlanFamily.SEQUENTIAL
-    if len(steps) <= 3:
-        return PlanFamily.SIMPLE_COMPARISON
-    if "calculate" in text or "lifespan" in text:
-        return PlanFamily.CALCULATED_COMPARISON
-    if "count" in text or "number of" in text:
-        return PlanFamily.SET_COMPARISON
-    return PlanFamily.BRIDGE_COMPARISON
 
 
 def parse_plan(text: str) -> ReasoningPlan:
@@ -126,7 +103,7 @@ def parse_plan(text: str) -> ReasoningPlan:
         if index != pos + 1:
             raise PlanError(f"plan step numbering broken at position {pos + 1}")
         steps.append(PlanStep(index=index, text=step_text, kind=kind))
-    return ReasoningPlan(steps=tuple(steps), family=_classify_family(steps))
+    return ReasoningPlan(steps=tuple(steps))
 
 
 _PLAN_PROMPT_BY_DATASET = {
@@ -238,25 +215,17 @@ class Provenance(str, Enum):
 
 @dataclass(frozen=True)
 class TrainingExample:
-    question: str
-    passages: str  # rendered passage block, one per line group
+    instance: QAInstance
     prior_steps: tuple[ReasoningStep, ...]
     current_step: ReasoningStep
     target: Feedback
     provenance: Provenance
-    instance_id: str
-    dataset: str
-    injected_error: ErrorType | None = None
-    error_position: int | None = None
 
     def __post_init__(self) -> None:
-        if self.provenance is Provenance.INJECTED:
-            if self.injected_error is None or self.error_position is None:
-                raise ValueError("Injected examples need injected_error and error_position")
-            if self.target.error_type is not self.injected_error:
-                raise ValueError("target feedback must carry the injected error type")
         if self.provenance is Provenance.IDEAL and self.target.error_type is not ErrorType.CORRECT:
             raise ValueError("Ideal examples must target Correct")
+        if self.provenance is Provenance.INJECTED and self.target.error_type is ErrorType.CORRECT:
+            raise ValueError("Injected examples cannot target Correct")
         if self.target.error_type is not ErrorType.CORRECT:
             if self.target.error_type not in admissible_errors(self.current_step.kind):
                 raise ValueError(
@@ -264,16 +233,24 @@ class TrainingExample:
                     f"{self.current_step.kind.value} steps"
                 )
 
+    @property
+    def injected_error(self) -> ErrorType | None:
+        return self.target.error_type if self.provenance is Provenance.INJECTED else None
+
+    @property
+    def error_position(self) -> int:
+        return self.current_step.index
+
     def to_dict(self) -> dict:
         return {
-            "question": self.question,
-            "passages": self.passages,
+            "question": self.instance.question,
+            "passages": render_passages(self.instance),
             "previous_steps": render_trajectory(self.prior_steps),
             "current_step": render_step(self.current_step),
             "feedback": self.target.to_dict(),
             "provenance": self.provenance.value,
-            "instance_id": self.instance_id,
-            "dataset": self.dataset,
+            "instance_id": self.instance.id,
+            "dataset": self.instance.dataset.value,
             "injected_error": self.injected_error.value if self.injected_error else None,
             "error_position": self.error_position,
         }
@@ -322,16 +299,11 @@ def inject_error(
         guidance=f"Redo step {target_step} as a single correct operation toward the answer.",
     )
     return TrainingExample(
-        question=instance.question,
-        passages=render_passages(instance),
+        instance=instance,
         prior_steps=trajectory.prefix(target_step - 1),
         current_step=corrupted,
         target=target,
         provenance=Provenance.INJECTED,
-        instance_id=instance.id,
-        dataset=instance.dataset.value,
-        injected_error=error,
-        error_position=target_step,
     )
 
 
@@ -345,15 +317,11 @@ def ideal_example(
         guidance="Proceed with the next atomic reasoning step.",
     )
     return TrainingExample(
-        question=instance.question,
-        passages=render_passages(instance),
+        instance=instance,
         prior_steps=trajectory.prefix(position - 1),
         current_step=step,
         target=target,
         provenance=Provenance.IDEAL,
-        instance_id=instance.id,
-        dataset=instance.dataset.value,
-        error_position=position,
     )
 
 
@@ -376,16 +344,11 @@ def import_refined(
     for i, line in enumerate(record.get("previous_steps", []), start=1):
         prior.append(parse_step(line, expected_index=i).step)
     return TrainingExample(
-        question=instance.question,
-        passages=render_passages(instance),
+        instance=instance,
         prior_steps=tuple(prior),
         current_step=step,
         target=target,
         provenance=Provenance.REFINED,
-        instance_id=instance.id,
-        dataset=instance.dataset.value,
-        injected_error=None,
-        error_position=position,
     )
 
 
@@ -410,8 +373,6 @@ class DatasetConfig:
     total: int
     ideal_fraction: float = 0.34  # ideal-vs-injected mix of the synthesized split
     error_quotas: tuple[tuple[ErrorType, float], ...] = DEFAULT_ERROR_QUOTAS
-    max_position: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.total < 1:
@@ -420,6 +381,9 @@ class DatasetConfig:
             raise ValueError("ideal_fraction must be in [0, 1]")
         if any(w < 0 for _, w in self.error_quotas) or not self.error_quotas:
             raise ValueError("error quotas must be non-negative and non-empty")
+
+
+MAX_POSITION = 5  # error positions cycle through 1..MAX_POSITION
 
 
 def _largest_remainder(weights: list[float], total: int) -> list[int]:
@@ -442,43 +406,36 @@ def build_dataset(
 ) -> tuple[list[TrainingExample], dict]:
     """Synthesize the training set and its manifest.
 
-    Positions cycle deterministically through 1..max_position (clipped
+    Positions cycle deterministically through 1..MAX_POSITION (clipped
     to each trajectory's length) so every position bucket is covered;
     injection targets additionally require an admissible step kind.
     """
     if not pool:
         raise QuotaInfeasibleError("empty verified-instance pool")
-    examples: list[TrainingExample] = []
-
     n_ideal = round(config.total * config.ideal_fraction)
-    n_injected = config.total - n_ideal
+    counts = _largest_remainder([w for _, w in config.error_quotas], config.total - n_ideal)
+    quotas = [(error, needed) for (error, _), needed in zip(config.error_quotas, counts) if needed]
+    # Each pass over the pool then finds a target for every quota error.
+    kinds = {step.kind for _, traj in pool for step in traj.steps}
+    for error, _ in quotas:
+        if not any(error in admissible_errors(kind) for kind in kinds):
+            raise QuotaInfeasibleError(f"no step in the pool admits {error.value}")
 
-    def positions_for(traj: Trajectory, wanted: int) -> int:
-        return min(wanted, len(traj.steps))
-
+    examples: list[TrainingExample] = []
     cursor = 0
     for i in range(n_ideal):
         instance, traj = pool[cursor % len(pool)]
         cursor += 1
-        position = positions_for(traj, (i % config.max_position) + 1)
+        position = min((i % MAX_POSITION) + 1, len(traj.steps))
         examples.append(ideal_example(instance, traj, position))
 
-    quota_types = [t for t, _ in config.error_quotas]
-    counts = _largest_remainder([w for _, w in config.error_quotas], n_injected)
     pos_cycle = 0
-    for error, needed in zip(quota_types, counts):
+    for error, needed in quotas:
         produced = 0
-        scanned = 0
-        limit = len(pool) * config.max_position * 2
         while produced < needed:
-            if scanned > limit + needed * len(pool):
-                raise QuotaInfeasibleError(
-                    f"no admissible target steps left for {error.value}"
-                )
             instance, traj = pool[cursor % len(pool)]
             cursor += 1
-            scanned += 1
-            wanted = (pos_cycle % config.max_position) + 1
+            wanted = (pos_cycle % MAX_POSITION) + 1
             pos_cycle += 1
             # Scan from the wanted position for a step that admits this error.
             target = None
@@ -509,10 +466,9 @@ def build_manifest(examples: list[TrainingExample]) -> dict:
     for ex in examples:
         by_provenance[ex.provenance.value] = by_provenance.get(ex.provenance.value, 0) + 1
         by_error[ex.target.error_type.value] = by_error.get(ex.target.error_type.value, 0) + 1
-        if ex.error_position is not None:
-            key = str(ex.error_position)
-            by_position[key] = by_position.get(key, 0) + 1
-        unique_questions.setdefault(ex.dataset, set()).add(ex.question)
+        key = str(ex.error_position)
+        by_position[key] = by_position.get(key, 0) + 1
+        unique_questions.setdefault(ex.instance.dataset.value, set()).add(ex.instance.question)
     return {
         "total": len(examples),
         "by_provenance": dict(sorted(by_provenance.items())),

@@ -90,7 +90,6 @@ def _triples_json(triples: list[Triple]) -> str:
 @dataclass(frozen=True)
 class ExtractionResult:
     triples: tuple[Triple, ...]
-    calls: int
     rejected: int
     failed_passages: tuple[int, ...]  # passage indices whose output did not parse
 
@@ -102,10 +101,8 @@ def extract_triples(
     triples: list[Triple] = []
     failed: list[int] = []
     rejected = 0
-    calls = 0
     for passage in instance.gold_passages:
         _, resp = ask(backend, "triple_extraction", model_id, title=passage.title, body=passage.body)
-        calls += 1
         parsed = parse_json_list(resp.text)
         if isinstance(parsed, ParseFailure):
             failed.append(passage.index)
@@ -115,7 +112,6 @@ def extract_triples(
         rejected += bad
     return ExtractionResult(
         triples=tuple(triples),
-        calls=calls,
         rejected=rejected,
         failed_passages=tuple(failed),
     )
@@ -220,7 +216,10 @@ class InstanceReport:
     counters: dict[str, int] = field(default_factory=dict)
     flags: tuple[str, ...] = ()
     alt_verdict: PathVerdict | None = None  # cross-check companion verdict
-    disagreement: bool = False
+
+    @property
+    def disagreement(self) -> bool:
+        return self.alt_verdict is not None and self.alt_verdict.is_valid != self.verdict.is_valid
 
     def to_dict(self) -> dict:
         return {
@@ -317,7 +316,7 @@ def verify_instance(
 
         flags = [f"extraction_failed_passage_{i}" for i in extraction.failed_passages]
         counters = {
-            "extraction_calls": extraction.calls,
+            "extraction_calls": len(instance.gold_passages),
             "gleaning_rounds": gleaning_rounds,
             "gleaned_triples": gleaned,
             "rejected_triples": extraction.rejected,
@@ -373,7 +372,6 @@ def verify_instance(
         _question_entities(instance),
         instance.gold_answers,
     )
-    disagreement = alt is not None and alt.is_valid != verdict.is_valid
     return InstanceReport(
         instance_id=instance.id,
         verdict=verdict,
@@ -382,7 +380,6 @@ def verify_instance(
         counters=counters,
         flags=tuple(flags),
         alt_verdict=alt,
-        disagreement=disagreement,
     )
 
 

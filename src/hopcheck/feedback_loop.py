@@ -215,15 +215,25 @@ class RunRecord:
     answer: str | None  # present iff Terminated or AnswerForced occurred
     events: tuple[LoopEvent, ...]
     ledger: CacheLedger
-    generator_calls: int
-    evaluator_calls: int
     flags: tuple[str, ...] = ()
-    aborted: bool = False
 
     def __post_init__(self) -> None:
         closed = any(e.kind in ("terminated", "answer_forced") for e in self.events)
         if (self.answer is not None) != closed:
             raise ValueError("answer present iff the run terminated or was forced")
+
+    @property
+    def generator_calls(self) -> int:
+        return self.ledger.generator.calls
+
+    @property
+    def evaluator_calls(self) -> int:
+        return self.ledger.evaluator.calls
+
+    @property
+    def aborted(self) -> bool:
+        """A backend call failed hard and the run stopped where it was."""
+        return any(flag.startswith("aborted:") for flag in self.flags)
 
     @property
     def retries(self) -> int:
@@ -432,7 +442,6 @@ def run_instance(
     traj = Trajectory(instance_id=instance.id)
     events: list[LoopEvent] = []
     flags: list[str] = []
-    aborted = False
 
     try:
         for slot in range(1, cfg.max_steps + 1):
@@ -514,7 +523,6 @@ def run_instance(
             events.append(LoopEvent("answer_forced", len(traj.steps), detail=answer))
             events.append(LoopEvent("terminated", len(traj.steps), detail=answer))
     except TransportError as exc:  # backend hard failure: keep the partial record
-        aborted = True
         flags.append(f"aborted:{type(exc).__name__}")
         answer = None
 
@@ -525,10 +533,7 @@ def run_instance(
         answer=answer,
         events=tuple(events),
         ledger=tracker.ledger,
-        generator_calls=tracker.ledger.generator.calls,
-        evaluator_calls=tracker.ledger.evaluator.calls,
         flags=tuple(flags),
-        aborted=aborted,
     )
 
 

@@ -9,7 +9,7 @@ All functions are pure over immutable values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 
@@ -68,7 +68,6 @@ class ReasoningStep:
 class Trajectory:
     instance_id: str
     steps: tuple[ReasoningStep, ...] = ()
-    terminated: bool = False
 
     def __post_init__(self) -> None:
         for pos, step in enumerate(self.steps, start=1):
@@ -79,8 +78,10 @@ class Trajectory:
             raise ValueError("at most one Final Answer step")
         if finals and self.steps[-1].kind is not StepKind.FINAL_ANSWER:
             raise ValueError("Final Answer must be the last step")
-        if self.terminated != bool(finals):
-            raise ValueError("terminated iff last step is Final Answer")
+
+    @property
+    def terminated(self) -> bool:
+        return bool(self.steps) and self.steps[-1].kind is StepKind.FINAL_ANSWER
 
     def prefix(self, length: int) -> tuple[ReasoningStep, ...]:
         return self.steps[:length]
@@ -192,11 +193,7 @@ def append_step(traj: Trajectory, step: ReasoningStep) -> Trajectory:
     expected = len(traj.steps) + 1
     if step.index != expected:
         raise SequencingError(f"expected step index {expected}, got {step.index}")
-    return replace(
-        traj,
-        steps=traj.steps + (step,),
-        terminated=step.kind is StepKind.FINAL_ANSWER,
-    )
+    return replace(traj, steps=traj.steps + (step,))
 
 
 def render_trajectory(steps: tuple[ReasoningStep, ...]) -> str:

@@ -245,7 +245,7 @@ def test_datagen_integrity_500():
             if ex.target.error_type is not ErrorType.CORRECT:
                 assert ex.target.error_type in admissible_errors(ex.current_step.kind)
             if ex.provenance.value == "Injected":
-                source = trajectories[ex.instance_id]
+                source = trajectories[ex.instance.id]
                 pos = ex.error_position
                 # exactly one corrupted step: the prefix is untouched and
                 # only the target step differs from the source trajectory

@@ -9,7 +9,6 @@ from hopcheck.datagen import (
     DatagenError,
     DatasetConfig,
     PlanError,
-    PlanFamily,
     Provenance,
     QuotaInfeasibleError,
     TrainingExample,
@@ -63,23 +62,7 @@ def test_parse_plan_happy_path():
     assert len(plan.steps) == 5
     assert [s.kind for s in plan.steps] == [StepKind.ATTRIBUTION] * 4 + [StepKind.LOGICAL]
     assert plan.steps[0].text.startswith("Identify the director")
-    assert plan.family is PlanFamily.BRIDGE_COMPARISON
     assert "Step 5:" in plan.render()
-
-
-def test_parse_plan_families():
-    simple = parse_plan(
-        "[Step 1: Find the nationality of A (Attribution), "
-        "Step 2: Find the nationality of B (Attribution), "
-        "Step 3: Compare the two nationalities (Logical)]"
-    )
-    assert simple.family is PlanFamily.SIMPLE_COMPARISON
-    seq = parse_plan(
-        "[Step 1: Find the performer of the song (Attribution), "
-        "Step 2: Find the performer's birthplace (Attribution), "
-        "Step 3: State the city from the established facts (Logical)]"
-    )
-    assert seq.family is PlanFamily.SEQUENTIAL
 
 
 def test_parse_plan_rejections():
@@ -219,24 +202,22 @@ def test_training_example_invariants():
     fb = Feedback(ErrorType.CONTRADICTORY, "d", "g")
     with pytest.raises(ValueError, match="inadmissible"):
         TrainingExample(
-            question="q", passages="p",
-            prior_steps=(), current_step=traj.steps[4],  # Logical step
+            instance=instance,
+            prior_steps=traj.steps[:4], current_step=traj.steps[4],  # Logical step
             target=fb, provenance=Provenance.REFINED,
-            instance_id="x", dataset="2wiki",
         )
-    with pytest.raises(ValueError, match="Injected"):
+    correct = Feedback(ErrorType.CORRECT, "d", "g")
+    with pytest.raises(ValueError, match="Injected examples cannot target Correct"):
         TrainingExample(
-            question="q", passages="p",
+            instance=instance,
             prior_steps=(), current_step=traj.steps[0],
-            target=fb, provenance=Provenance.INJECTED,
-            instance_id="x", dataset="2wiki",
+            target=correct, provenance=Provenance.INJECTED,
         )
     with pytest.raises(ValueError, match="Correct"):
         TrainingExample(
-            question="q", passages="p",
+            instance=instance,
             prior_steps=(), current_step=traj.steps[0],
             target=fb, provenance=Provenance.IDEAL,
-            instance_id="x", dataset="2wiki",
         )
 
 
@@ -266,7 +247,7 @@ def test_import_refined():
 
 def test_build_dataset_quotas_and_manifest():
     pool = [(make_instance(f"q{i}"), make_trajectory(f"q{i}")) for i in range(3)]
-    config = DatasetConfig(total=100, seed=0)
+    config = DatasetConfig(total=100)
     backend = ScriptedBackend(responder=corrupting_teacher)
     examples, manifest = build_dataset(backend, pool, config)
     assert len(examples) == 100

@@ -379,8 +379,6 @@ def test_run_record_answer_iff_closed():
             answer="oops",  # no terminated/answer_forced event
             events=(),
             ledger=CacheLedger(),
-            generator_calls=0,
-            evaluator_calls=0,
         )
 
 

@@ -125,14 +125,12 @@ def _steps(*kinds: StepKind) -> tuple[ReasoningStep, ...]:
 
 def test_trajectory_invariants():
     steps = _steps(StepKind.ATTRIBUTION, StepKind.LOGICAL, StepKind.FINAL_ANSWER)
-    traj = Trajectory("q1", steps, terminated=True)
+    traj = Trajectory("q1", steps)
+    assert traj.terminated
     assert traj.answer == "x"
     assert traj.prefix(2) == steps[:2]
+    assert not Trajectory("q1", steps[:2]).terminated
 
-    with pytest.raises(ValueError):
-        Trajectory("q1", steps, terminated=False)
-    with pytest.raises(ValueError):
-        Trajectory("q1", steps[:2], terminated=True)
     with pytest.raises(ValueError):
         Trajectory("q1", (ReasoningStep(2, StepKind.LOGICAL, "starts at two"),))
     with pytest.raises(ValueError):
@@ -143,7 +141,7 @@ def test_trajectory_invariants():
         ReasoningStep(2, StepKind.LOGICAL, "after the end"),
     )
     with pytest.raises(ValueError):
-        Trajectory("q1", final_mid, terminated=False)
+        Trajectory("q1", final_mid)
 
 
 def test_append_step_sequencing():
