@@ -88,10 +88,14 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     if mode not in VERIFY_MODES:
         raise ConfigError(f"mode must be one of {VERIFY_MODES}")
     instances = load_canonical(args.infile)
+    seen: set[str] = set()
     for inst in instances:
         # The id names the instance's kg/<id>.jsonl file.
         if inst.id in ("", ".", "..") or "/" in inst.id or "\\" in inst.id:
             raise ConfigError(f"instance id {inst.id!r} is not a plain file name")
+        if inst.id in seen:
+            raise ConfigError(f"instance id {inst.id!r} occurs more than once")
+        seen.add(inst.id)
     if args.dry_run:
         per = 0
         for inst in instances:
@@ -278,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="taxonomy-guided training-data synthesis")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--total", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int,
+                   help="echoed into resolved_config.json only; synthesis is deterministic")
     p.add_argument("--ideal-fraction", dest="ideal_fraction", type=float)
     p.add_argument("--refined", help="JSONL of externally refined hard cases")
     p.add_argument("--model")

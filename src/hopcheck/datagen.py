@@ -222,6 +222,11 @@ class TrainingExample:
     provenance: Provenance
 
     def __post_init__(self) -> None:
+        if len(self.prior_steps) != self.current_step.index - 1:
+            raise ValueError(
+                f"step {self.current_step.index} needs {self.current_step.index - 1} "
+                f"previous steps, got {len(self.prior_steps)}"
+            )
         if self.provenance is Provenance.IDEAL and self.target.error_type is not ErrorType.CORRECT:
             raise ValueError("Ideal examples must target Correct")
         if self.provenance is Provenance.INJECTED and self.target.error_type is ErrorType.CORRECT:
@@ -331,25 +336,28 @@ def import_refined(
     """Validate one externally supplied hard-case transcript record.
 
     Required fields: instance_id, position, step (rendered), feedback
-    {error_type, diagnosis, guidance}, previous_steps (rendered, optional).
+    {error_type, diagnosis, guidance}, previous_steps (rendered, one per
+    step before position; optional at position 1). A value of the wrong
+    JSON type is reported like any other invalid field.
     """
     try:
         instance = instances[record["instance_id"]]
         position = int(record["position"])
         step = parse_step(record["step"], expected_index=position).step
         target = Feedback.from_dict(record["feedback"])
-    except (KeyError, ValueError, StepFormatError) as exc:
+        prior = tuple(
+            parse_step(line, expected_index=i).step
+            for i, line in enumerate(record.get("previous_steps", []), start=1)
+        )
+        return TrainingExample(
+            instance=instance,
+            prior_steps=prior,
+            current_step=step,
+            target=target,
+            provenance=Provenance.REFINED,
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise DatagenError(f"refined record invalid: {exc}") from exc
-    prior: list[ReasoningStep] = []
-    for i, line in enumerate(record.get("previous_steps", []), start=1):
-        prior.append(parse_step(line, expected_index=i).step)
-    return TrainingExample(
-        instance=instance,
-        prior_steps=tuple(prior),
-        current_step=step,
-        target=target,
-        provenance=Provenance.REFINED,
-    )
 
 
 # Procedural-heavy default shape for the injected-error mix. Wrong
@@ -415,7 +423,8 @@ def build_dataset(
     n_ideal = round(config.total * config.ideal_fraction)
     counts = _largest_remainder([w for _, w in config.error_quotas], config.total - n_ideal)
     quotas = [(error, needed) for (error, _), needed in zip(config.error_quotas, counts) if needed]
-    # Each pass over the pool then finds a target for every quota error.
+    # Once every quota error fits some step of the pool, each pass over the
+    # pool finds it a target, so the injection loop below always ends.
     kinds = {step.kind for _, traj in pool for step in traj.steps}
     for error, _ in quotas:
         if not any(error in admissible_errors(kind) for kind in kinds):

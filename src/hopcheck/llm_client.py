@@ -213,7 +213,11 @@ class RecordingBackend:
 
 
 class OpenAIBackend:
-    """OpenAI-compatible /v1/chat/completions client with bounded retries."""
+    """OpenAI-compatible /v1/chat/completions client with bounded retries.
+
+    Each calling thread gets its own requests.Session, since a session is
+    not safe to share between threads; an injected session is used as is.
+    """
 
     def __init__(
         self,
@@ -233,8 +237,17 @@ class OpenAIBackend:
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
+        self._lock = threading.Lock()
         self.retry_count = 0
+
+    def _thread_session(self) -> requests.Session:
+        if self._session is not None:
+            return self._session
+        if not hasattr(self._local, "session"):
+            self._local.session = requests.Session()
+        return self._local.session
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         payload = {
@@ -249,10 +262,11 @@ class OpenAIBackend:
         url = f"{self.base_url}/v1/chat/completions"
         last_error = "unreachable"
         attempts = 0
+        session = self._thread_session()
         for attempt in range(self.max_retries + 1):
             attempts = attempt + 1
             try:
-                resp = self._session.post(url, json=payload, headers=headers, timeout=self.timeout)
+                resp = session.post(url, json=payload, headers=headers, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = f"transport failure: {exc}"
                 self._backoff(attempt, None)
@@ -278,7 +292,8 @@ class OpenAIBackend:
     def _backoff(self, attempt: int, retry_after: float | None) -> None:
         if attempt >= self.max_retries:
             return
-        self.retry_count += 1
+        with self._lock:
+            self.retry_count += 1
         delay = retry_after if retry_after is not None else self.backoff_base * (2**attempt)
         self._sleep(min(delay, self.backoff_cap))
 

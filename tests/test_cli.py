@@ -209,13 +209,19 @@ def test_verify_benchmark_survives_failed_backend_call(tmp_path, monkeypatch):
     assert stats["unverified"] == 1 and stats["total"] == 1
 
 
-@pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "", ".", ".."])
-def test_verify_benchmark_rejects_ids_that_are_not_file_names(tmp_path, capsys, monkeypatch, bad_id):
+_NOT_FILE_NAMES = ["../escaped", "a/b", "a\\b", "", ".", ".."]
+
+
+@pytest.mark.parametrize("ids, problem", [
+    *((["fine", bad], f"{bad!r} is not a plain file name") for bad in _NOT_FILE_NAMES),
+    (["twin", "fine", "twin"], "'twin' occurs more than once"),
+], ids=[*_NOT_FILE_NAMES, "duplicate"])
+def test_verify_benchmark_rejects_ids_that_are_not_file_names(tmp_path, capsys, monkeypatch, ids, problem):
     backend = ScriptedBackend()
     monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
-    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("fine"), make_instance(bad_id)])
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance(i) for i in ids])
     assert main(["verify-benchmark", "--in", corpus, "--out", str(tmp_path / "vo")]) == 1
-    assert capsys.readouterr().err == f"error: instance id {bad_id!r} is not a plain file name\n"
+    assert capsys.readouterr().err == f"error: instance id {problem}\n"
     assert backend.calls == 0
     assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
@@ -258,6 +264,24 @@ def test_synthesize_model_reaches_every_request(tmp_path, monkeypatch):
     assert injected > 0
     assert len(models) == 2 * 2 + injected  # plan + ideal per instance, one per injection
     assert set(models) == {"teacher"}
+
+
+def test_synthesize_invalid_refined_record_is_one_error_line(tmp_path, capsys, monkeypatch):
+    backend = ScriptedBackend(responder=_synthesis_teacher([]))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
+    refined = tmp_path / "refined.jsonl"
+    write_jsonl(refined, [{
+        "instance_id": "a", "position": 1, "feedback": "Unsupported",
+        "step": "Step 1: a dubious fact from passage 2 (Attribution)",
+    }])
+    out = tmp_path / "out"
+    assert main(["synthesize", "--in", corpus, "--total", "3", "--refined", str(refined),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: refined record invalid: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_synthesize_failed_backend_call_is_one_error_line(tmp_path, capsys):

@@ -243,6 +243,77 @@ def test_import_refined():
         import_refined({**record, "instance_id": "missing"}, {"q1": instance})
     with pytest.raises(DatagenError):
         import_refined({**record, "step": "not a step"}, {"q1": instance})
+    prior = record["previous_steps"]
+    for bad in (
+        {"feedback": "Unsupported"},
+        {"previous_steps": ["not a step"]},
+        {"previous_steps": []},
+        {"previous_steps": prior + ["Step 2: one more (Logical)", "Step 3: and more (Logical)"]},
+    ):
+        with pytest.raises(DatagenError, match="refined record invalid"):
+            import_refined({**record, **bad}, {"q1": instance})
+
+
+def test_train_rows_render_derived_fields():
+    instance, traj = make_instance(), make_trajectory()
+    shared = {
+        "question": "Which came first, X of q1 or Y?",
+        "passages": "\n\n".join(
+            f"Passage {i} (Title {i}): Body text for passage {i}." for i in range(1, 11)
+        ),
+        "previous_steps": "Step 1: fact 1 from passage 1 (Attribution)",
+        "instance_id": "q1",
+        "dataset": "2wiki",
+    }
+    ideal = ideal_example(instance, traj, 2)
+    injected = inject_error(
+        ScriptedBackend(responder=corrupting_teacher), instance, traj, 2, ErrorType.CONTRADICTORY
+    )
+    refined = import_refined(
+        {
+            "instance_id": "q1",
+            "position": 2,
+            "step": "Step 2: a dubious fact from passage 3 (Attribution)",
+            "previous_steps": ["Step 1: fact 1 from passage 1 (Attribution)"],
+            "feedback": {"error_type": "Unsupported", "diagnosis": "d", "guidance": "g"},
+        },
+        {"q1": instance},
+    )
+    assert ideal.to_dict() == {
+        **shared,
+        "current_step": "Step 2: fact 2 from passage 2 (Attribution)",
+        "feedback": {
+            "error_type": "Correct",
+            "diagnosis": "Step 2 is a correct atomic operation grounded in the evidence.",
+            "guidance": "Proceed with the next atomic reasoning step.",
+        },
+        "provenance": "Ideal",
+        "injected_error": None,
+        "error_position": 2,
+    }
+    assert injected.to_dict() == {
+        **shared,
+        "current_step": "Step 2: wrongly, fact 2 from passage 2 (Attribution)",
+        "feedback": {
+            "error_type": "Contradictory",
+            "diagnosis": (
+                "Step 2 commits a Contradictory error: "
+                "States the opposite of what the cited passage says."
+            ),
+            "guidance": "Redo step 2 as a single correct operation toward the answer.",
+        },
+        "provenance": "Injected",
+        "injected_error": "Contradictory",
+        "error_position": 2,
+    }
+    assert refined.to_dict() == {
+        **shared,
+        "current_step": "Step 2: a dubious fact from passage 3 (Attribution)",
+        "feedback": {"error_type": "Unsupported", "diagnosis": "d", "guidance": "g"},
+        "provenance": "Refined",
+        "injected_error": None,
+        "error_position": 2,
+    }
 
 
 def test_build_dataset_quotas_and_manifest():

@@ -231,6 +231,16 @@ def test_backend_hard_failure_aborts_with_partial_record():
     assert any(f.startswith("aborted:") for f in rec.flags)
 
 
+def test_run_aborted_on_first_call_serializes_derived_fields():
+    rec = run_instance(LoopConfig(), make_instance(), ScriptedBackend(script=[]))
+    row = rec.to_dict()
+    assert row["aborted"] is True
+    assert row["flags"] == ["aborted:TransportError"]
+    assert row["answer"] is None and row["steps"] == []
+    assert row["generator_calls"] == rec.ledger.generator.calls == 0
+    assert row["evaluator_calls"] == rec.ledger.evaluator.calls == 0
+
+
 def test_programming_error_in_backend_propagates():
     def broken(req):
         raise KeyError("choices")

@@ -1,9 +1,12 @@
+import concurrent.futures
 import json
 import re
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings, strategies as st
 
 from hopcheck.llm_client import (
@@ -308,6 +311,54 @@ def test_openai_backend_http_date_retry_after_backs_off():
                             session=Session())
     assert backend.complete(_req()).text == "pong"
     assert sleeps == [0.25]  # the date form falls back to exponential backoff
+
+
+def test_openai_backend_gives_each_thread_its_own_session(http_server, monkeypatch):
+    sessions = []
+
+    class CountingSession(requests.Session):
+        def __init__(self):
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(requests, "Session", CountingSession)
+    _FlakyHandler.behaviors = []
+    backend = OpenAIBackend(http_server, max_retries=0)
+    start = threading.Barrier(4, timeout=30)
+
+    def call(_):
+        start.wait()
+        return backend.complete(_req()).text
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        assert list(pool.map(call, range(4), timeout=60)) == ["pong"] * 4
+    assert len(sessions) == 4
+
+
+def test_openai_backend_counts_every_retry_across_threads():
+    class Reply:
+        status_code, headers = 503, {}
+
+    class Session:
+        def post(self, *args, **kwargs):
+            return Reply()
+
+    backend = OpenAIBackend("http://unused", max_retries=1, sleep=lambda s: None,
+                            session=Session())
+
+    def fail_repeatedly(_):
+        for _ in range(500):
+            with pytest.raises(TransportError):
+                backend.complete(_req())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(fail_repeatedly, range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert backend.retry_count == 8 * 500  # one retry per call
 
 
 def test_openai_backend_retries_5xx(http_server):
