@@ -387,8 +387,8 @@ class DatasetConfig:
             raise ValueError("total must be >= 1")
         if not 0.0 <= self.ideal_fraction <= 1.0:
             raise ValueError("ideal_fraction must be in [0, 1]")
-        if any(w < 0 for _, w in self.error_quotas) or not self.error_quotas:
-            raise ValueError("error quotas must be non-negative and non-empty")
+        if any(w < 0 for _, w in self.error_quotas) or sum(w for _, w in self.error_quotas) <= 0:
+            raise ValueError("error quotas must be non-negative with a positive sum")
 
 
 MAX_POSITION = 5  # error positions cycle through 1..MAX_POSITION

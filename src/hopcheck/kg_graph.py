@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
@@ -81,8 +82,10 @@ def answer_matches(answer: str, node_label: str) -> bool:
     Benchmark answers vary in granularity: gold "Karachi, Pakistan"
     matches the node "Karachi".
     """
-    a = normalize(answer).split()
-    n = normalize(node_label).split()
+    return _tokens_match(normalize(answer).split(), normalize(node_label).split())
+
+
+def _tokens_match(a: list[str], n: list[str]) -> bool:
     if not a or not n:
         return False
     if a == n:
@@ -241,7 +244,25 @@ def _match_question_entities(kg: LocalizedKG, question_entities: set[str]) -> li
 
 
 def _answer_node_keys(kg: LocalizedKG, answer: str) -> set[str]:
-    return {k for k, label in kg.nodes.items() if k in kg.adjacency and answer_matches(answer, label)}
+    """Nodes whose label matches the answer. build_kg keys each node by its
+    normalized label, so only the answer is normalized here."""
+    tokens = normalize(answer).split()
+    return {k for k in kg.adjacency if _tokens_match(tokens, k.split())}
+
+
+def _hop_counts(kg: LocalizedKG, sources: Iterable[str]) -> dict[str, int]:
+    """Edges from the nearest source to every node at most MAX_HOPS away."""
+    hops = dict.fromkeys(sources, 0)
+    frontier = list(hops)
+    for depth in range(1, MAX_HOPS + 1):
+        reached = []
+        for node in frontier:
+            for neighbor, _rel, _edge_id in kg.adjacency.get(node, ()):
+                if neighbor not in hops:
+                    hops[neighbor] = depth
+                    reached.append(neighbor)
+        frontier = reached
+    return hops
 
 
 def _shortest_paths(
@@ -536,6 +557,47 @@ def _conflation_candidates(kg: LocalizedKG) -> list[tuple[str, str]]:
     return [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if len(tokens[a] & tokens[b]) >= 2]
 
 
+def _bridging_candidates(
+    kg: LocalizedKG,
+    question_entities: set[str],
+    entity_keys: list[str],
+    answer: str,
+    answer_keys: set[str],
+) -> list[tuple[str, str]]:
+    """The conflation candidates whose merged graph can pass
+    find_grounded_path for this answer; every other candidate's cannot.
+
+    Merging b into a adds no question-entity node and no answer node: an
+    entity that matched b matches the merged node, and the merged node
+    takes a's label, so it matches the answer only if a did. A Parallel
+    verdict needs at least 2 matched entities and a yes/no answer or one
+    that matches a question entity; when that is possible, or when kg
+    already has a chain of 1 to MAX_HOPS edges from a matched entity to
+    another node matching the answer, every candidate is kept. Otherwise
+    every chain in a merged graph passes through the merged node, since
+    one that avoids it is a chain in kg too. It enters from a's or b's
+    side and leaves toward a's or b's side, so it is at least
+    min(dE[a], dE[b]) + min(dA[a], dA[b]) edges long, where dE and dA are
+    hop counts in kg from the matched entities and from the answer nodes.
+    A pair is kept only if that sum is at most MAX_HOPS.
+    """
+    pairs = _conflation_candidates(kg)
+    parallel_possible = len(entity_keys) >= 2 and (
+        normalize(answer) in ("yes", "no") or any(answer_matches(answer, e) for e in question_entities)
+    )
+    has_chain = any(answer_keys.intersection(_hop_counts(kg, (s,))) - {s} for s in entity_keys)
+    if parallel_possible or has_chain:
+        return pairs
+    from_entities = _hop_counts(kg, entity_keys)
+    from_answer = _hop_counts(kg, answer_keys)
+    far = MAX_HOPS + 1
+
+    def nearest(hops: dict[str, int], a: str, b: str) -> int:
+        return min(hops.get(a, far), hops.get(b, far))
+
+    return [(a, b) for a, b in pairs if nearest(from_entities, a, b) + nearest(from_answer, a, b) <= MAX_HOPS]
+
+
 def _merged_kg(kg: LocalizedKG, a: str, b: str) -> LocalizedKG:
     """kg with nodes a and b merged under a's label.
 
@@ -568,6 +630,7 @@ def classify_noise(
 
     answer = primary_answer(gold_answers)
     entity_keys = _match_question_entities(kg, question_entities)
+    answer_keys = _answer_node_keys(kg, answer)
 
     # A boolean comparison that completed but with the opposite outcome.
     answer_norm = normalize(answer)
@@ -576,7 +639,7 @@ def classify_noise(
         if find_grounded_path(kg, question_entities, flipped).is_valid:
             return NoiseLabel.WRONG_ANSWER
 
-    gold_in_graph = any(_answer_node_keys(kg, g) for g in gold_answers)
+    gold_in_graph = bool(answer_keys) or any(_answer_node_keys(kg, g) for g in gold_answers if g != answer)
     if (
         entity_keys
         and not gold_in_graph
@@ -585,9 +648,8 @@ def classify_noise(
         return NoiseLabel.WRONG_ANSWER
 
     if gold_in_graph:
-        for a, b in _conflation_candidates(kg):
-            merged = _merged_kg(kg, a, b)
-            if find_grounded_path(merged, question_entities, answer).is_valid:
+        for a, b in _bridging_candidates(kg, question_entities, entity_keys, answer, answer_keys):
+            if find_grounded_path(_merged_kg(kg, a, b), question_entities, answer).is_valid:
                 return NoiseLabel.ENTITY_CONFLATION
 
     # The only invalid Parallel verdict the search returns is the ambiguous one.

@@ -383,6 +383,8 @@ def test_dataset_config_validation():
         DatasetConfig(total=1, ideal_fraction=1.5)
     with pytest.raises(ValueError):
         DatasetConfig(total=1, error_quotas=())
+    with pytest.raises(ValueError):
+        DatasetConfig(total=10, ideal_fraction=1.0, error_quotas=((ErrorType.REDUNDANCY, 0.0),))
 
 
 def test_write_train_jsonl(tmp_path):

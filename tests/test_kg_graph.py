@@ -13,6 +13,7 @@ from hopcheck.kg_graph import (
     NoiseLabel,
     OverlappingAliasGroupsError,
     PathPattern,
+    PathVerdict,
     Triple,
     answer_matches,
     build_kg,
@@ -339,21 +340,137 @@ def test_comparison_branch_respects_max_hops():
     assert verdict.to_dict() == kg_reference.find_grounded_path(kg, entities, "Film One").to_dict()
 
 
-def test_classify_noise_bounded_on_dense_shared_label_graph():
-    # Every pair of the 20 labels is a conflation candidate, and the graph
-    # has far more simple paths than an exhaustive search can list quickly.
-    words = (
-        "alpha bravo charlie delta echo foxtrot golf hotel india juliet "
-        "kilo lima mike november oscar papa quebec romeo sierra tango"
-    ).split()
+def _river_stone_kg(words):
+    """`river stone <word>` nodes joined pairwise at probability 0.3, and the
+    answer on a separate edge: every pair of those labels is a conflation
+    candidate, and none of them is near the answer."""
     rng = random.Random(20)
     labels = [f"river stone {w}" for w in words]
     rows = [
         (a, "linked to", b, 1) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3
     ]
-    kg = _kg(rows + [("lonely tower", "located in", "far city", 1)])
-    start = time.perf_counter()
+    return _kg(rows + [("lonely tower", "located in", "far city", 1)]), labels
+
+
+def _classify_river_stone(kg, labels):
     verdict = find_grounded_path(kg, {labels[0]}, "far city")
-    label = classify_noise(verdict, kg, f"Where is {labels[0]}?", {labels[0]}, ("far city",))
-    assert label is NoiseLabel.MISSING_EVIDENCE
+    return classify_noise(verdict, kg, f"Where is {labels[0]}?", {labels[0]}, ("far city",))
+
+
+RIVER_STONE_WORDS = (
+    "alpha bravo charlie delta echo foxtrot golf hotel india juliet "
+    "kilo lima mike november oscar papa quebec romeo sierra tango"
+).split()
+
+
+def test_classify_noise_bounded_on_dense_shared_label_graph():
+    # Every pair of the 20 labels is a conflation candidate, and the graph
+    # has far more simple paths than an exhaustive search can list quickly.
+    kg, labels = _river_stone_kg(RIVER_STONE_WORDS)
+    start = time.perf_counter()
+    assert _classify_river_stone(kg, labels) is NoiseLabel.MISSING_EVIDENCE
     assert time.perf_counter() - start < 5.0
+
+
+def test_classify_noise_bounded_on_60_node_shared_label_graph():
+    # 1,770 candidate pairs; rebuilding the graph for each one takes about 30 s.
+    kg, labels = _river_stone_kg([f"w{i}" for i in range(60)])
+    start = time.perf_counter()
+    assert _classify_river_stone(kg, labels) is NoiseLabel.MISSING_EVIDENCE
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.fixture
+def merges(monkeypatch):
+    """The (a, b) pairs classify_noise rebuilds the graph for."""
+    calls = []
+    merged_kg = kg_graph._merged_kg
+
+    def counting(kg, a, b):
+        calls.append((a, b))
+        return merged_kg(kg, a, b)
+
+    monkeypatch.setattr(kg_graph, "_merged_kg", counting)
+    return calls
+
+
+def test_conflation_rebuilds_no_pair_when_the_answer_is_on_a_separate_edge(merges):
+    kg, labels = _river_stone_kg(RIVER_STONE_WORDS)
+    assert len(kg_graph._conflation_candidates(kg)) == 190
+    assert _classify_river_stone(kg, labels) is NoiseLabel.MISSING_EVIDENCE
+    assert merges == []
+
+
+def test_conflation_rebuilds_only_the_bridging_pair(merges):
+    # A ring with chords, as in the bench's dense items: two decoy pairs on
+    # the ring, and one ring node whose look-alike off the ring leads to the
+    # answer.
+    ring = [f"hub {i}" for i in range(12)]
+    ring[3], ring[8] = "amber field north", "amber field south"
+    ring[5], ring[10] = "cobalt reef east", "cobalt reef west"
+    ring[7] = "silver gate one"
+    rows = [(ring[i], "partner of", ring[(i + d) % 12], 1) for i in range(12) for d in (1, 2, 3)]
+    rows += [("silver gate two", "sponsored by", "far city", 2), ("far city", "part of", "old port", 2)]
+    kg = _kg(rows)
+    assert len(kg_graph._conflation_candidates(kg)) == 3
+    verdict = find_grounded_path(kg, {ring[0]}, "far city")
+    assert not verdict.is_valid
+    label = classify_noise(verdict, kg, f"Which city does {ring[0]} lead to?", {ring[0]}, ("far city",))
+    assert label is NoiseLabel.ENTITY_CONFLATION
+    assert merges == [(canonical_key("silver gate one"), canonical_key("silver gate two"))]
+
+
+@pytest.mark.parametrize(
+    "tail_hops, expected, rebuilds",
+    [(MAX_HOPS - 3, NoiseLabel.ENTITY_CONFLATION, 1), (MAX_HOPS - 2, NoiseLabel.MISSING_EVIDENCE, 0)],
+)
+def test_conflation_bridge_respects_max_hops(merges, tail_hops, expected, rebuilds):
+    # The merged chain is 3 + tail_hops edges long.
+    head = ["start", "left 1", "left 2", "silver gate one"]
+    tail = ["silver gate two", *[f"right {i}" for i in range(1, tail_hops)], "far city"]
+    kg = _kg([(a, "next to", b, 1) for chain in (head, tail) for a, b in zip(chain, chain[1:])])
+    verdict = find_grounded_path(kg, {"start"}, "far city")
+    assert classify_noise(verdict, kg, "Where does start lead?", {"start"}, ("far city",)) is expected
+    assert len(merges) == rebuilds
+
+
+def test_forced_invalid_verdict_over_an_existing_chain_rebuilds_far_pairs(merges):
+    # "J. Smith" resolves to the answer node, and the other question entity
+    # reaches that node: the graph verifies, so merging the far pair
+    # verifies too, though neither node of it is near the chain.
+    kg = _kg(
+        [("Acme Works", "founded by", "John Smith", 1), ("amber field north", "next to", "amber field south", 2)],
+        [AliasGroup(frozenset({"John Smith", "J. Smith"}), "John Smith")],
+    )
+    entities, golds = {"J. Smith", "Acme Works"}, ("John Smith",)
+    assert find_grounded_path(kg, entities, golds[0]).is_valid
+    forced = PathVerdict(False, (), PathPattern.SEQUENTIAL, "forced")
+    question = "Who founded Acme Works?"
+    label = classify_noise(forced, kg, question, entities, golds)
+    assert label is kg_reference.classify_noise(forced, kg, question, entities, golds)
+    assert label is NoiseLabel.ENTITY_CONFLATION
+    assert len(merges) == 1
+
+
+def test_forced_invalid_verdicts_match_exhaustive_reference():
+    """In llm and cross-check modes classify_noise gets a model's verdict,
+    which can be invalid although the graph verifies; the labels must still
+    equal the reference's for the same verdict."""
+    labels = Counter()
+    repaired_valid = 0
+    for generate, seed in ((random_case, 11), (conflation_case, 12)):
+        rng = random.Random(seed)
+        for _ in range(1500):
+            kg, entities, answer = generate(rng)
+            question, golds = question_and_golds(rng, entities, answer, kg)
+            valid = find_grounded_path(kg, entities, answer).is_valid
+            for pattern in (PathPattern.SEQUENTIAL, PathPattern.MIXED):
+                forced = PathVerdict(False, (), pattern, "forced")
+                label = classify_noise(forced, kg, question, entities, golds)
+                assert label is kg_reference.classify_noise(forced, kg, question, entities, golds), (
+                    pattern, question, entities, golds, kg.edges
+                )
+                labels[label] += 1
+                repaired_valid += valid and label is NoiseLabel.ENTITY_CONFLATION
+    assert {NoiseLabel.ENTITY_CONFLATION, NoiseLabel.MISSING_EVIDENCE, NoiseLabel.WRONG_ANSWER} <= set(labels)
+    assert repaired_valid > 0

@@ -279,6 +279,7 @@ def http_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_openai_backend_retries_429_then_succeeds(http_server):
