@@ -94,6 +94,22 @@ class Usage:
             raise ValueError("cached_prompt_tokens cannot exceed prompt_tokens")
 
 
+# Control characters below 0x20 other than newline, which json.dumps writes
+# as \t, \b, \u0001 and so on; a string holding one takes the json.dumps path.
+_RARE_CONTROLS = bytes(c for c in range(0x20) if c != 0x0A)
+
+
+def _json_string_body(s: str) -> bytes:
+    """The UTF-8 bytes `json.dumps(s, ensure_ascii=False)` puts between its
+    quotes. Replacing ASCII bytes is safe because UTF-8 never puts an ASCII
+    byte inside a multi-byte character; a lone surrogate raises
+    UnicodeEncodeError."""
+    b = s.encode()
+    if len(b.translate(None, _RARE_CONTROLS)) != len(b):
+        return json.dumps(s, ensure_ascii=False)[1:-1].encode()
+    return b.replace(b"\\", b"\\\\").replace(b'"', b'\\"').replace(b"\n", b"\\n")
+
+
 @dataclass(frozen=True)
 class ChatRequest:
     messages: tuple[Message, ...]
@@ -108,12 +124,20 @@ class ChatRequest:
             raise ValueError("first message must be the system/instruction message")
 
     def key(self) -> str:
-        """Stable digest used by scripted fixtures."""
-        blob = json.dumps(
-            [self.model_id] + [[m.role, m.content] for m in self.messages],
-            ensure_ascii=False,
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Stable digest used by scripted fixtures: the SHA-256 hex digest of
+        the UTF-8 bytes of `json.dumps([model_id, [role, content], ...],
+        ensure_ascii=False)`, hashed without building that string."""
+        h = hashlib.sha256(b'["')
+        h.update(_json_string_body(self.model_id))
+        h.update(b'"')
+        for m in self.messages:
+            h.update(b', ["')
+            h.update(_json_string_body(m.role))
+            h.update(b'", "')
+            h.update(_json_string_body(m.content))
+            h.update(b'"]')
+        h.update(b"]")
+        return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -167,9 +191,10 @@ class ScriptedBackend:
         return cls(by_key=by_key, script=script)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        key = req.key()
         with self._lock:
             self.calls += 1
-            resp = self._by_key.get(req.key())
+            resp = self._by_key.get(key)
             if resp is not None:
                 return resp
             if self._responder is not None:
@@ -178,7 +203,7 @@ class ScriptedBackend:
                 resp = self._script[self._cursor]
                 self._cursor += 1
                 return resp
-        raise TransportError(f"no scripted response for request {req.key()[:12]}", 1)
+        raise TransportError(f"no scripted response for request {key[:12]}", 1)
 
 
 class RecordingBackend:

@@ -39,6 +39,13 @@ def token_f1(pred: str, golds: Sequence[str]) -> float:
     return max(_f1_single(pred_tokens, tokens(g)) for g in golds)
 
 
+# "correct"/"wrong" is what prompts/judge.txt asks for.
+_VERDICT_WORDS = {
+    "correct": True, "true": True, "yes": True,
+    "wrong": False, "false": False, "no": False,
+}
+
+
 def judge(
     backend: Backend,
     question: str,
@@ -69,14 +76,11 @@ def judge(
     if isinstance(obj, ParseFailure):
         return JudgeVerdict.UNJUDGED, f"unparseable judge response: {obj.reason}", True
     raw = obj["is_correct"]
-    if isinstance(raw, str):
-        token = raw.strip().lower()
-        # "correct"/"wrong" is what prompts/judge.txt asks for.
-        if token not in ("correct", "wrong", "true", "false", "yes", "no"):
-            return JudgeVerdict.UNJUDGED, f"unrecognized is_correct value {raw!r}", True
-        correct = token in ("correct", "true", "yes")
-    else:
-        correct = bool(raw)
+    # A JSON boolean or a verdict word; null, numbers, lists and objects
+    # are not verdicts.
+    correct = _VERDICT_WORDS.get(raw.strip().lower()) if isinstance(raw, str) else raw
+    if not isinstance(correct, bool):
+        return JudgeVerdict.UNJUDGED, f"unrecognized is_correct value {raw!r}", True
     verdict = JudgeVerdict.CORRECT if correct else JudgeVerdict.WRONG
     return verdict, str(obj.get("reasoning", "")), True
 

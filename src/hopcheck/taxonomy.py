@@ -64,15 +64,15 @@ _ALIASES: dict[str, ErrorType] = {
 }
 
 
+_BY_LABEL: dict[str, ErrorType] = _ALIASES | {et.value.lower(): et for et in ErrorType}
+
+
 def parse_error_type(label: str) -> ErrorType:
-    cleaned = label.strip()
-    for et in ErrorType:
-        if et.value.lower() == cleaned.lower():
-            return et
-    alias = _ALIASES.get(cleaned.lower())
-    if alias is not None:
-        return alias
-    raise ValueError(f"unknown error type label {label!r}")
+    """The error type a label names, ignoring case and surrounding space."""
+    et = _BY_LABEL.get(label.strip().lower())
+    if et is None:
+        raise ValueError(f"unknown error type label {label!r}")
+    return et
 
 
 # The evaluation protocol's phase order. Within the utility phase the

@@ -14,6 +14,13 @@ _ARTICLE_RE = re.compile(r"\b(a|an|the)\b")
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _WORD_PAIR_RE = re.compile(r"\w\w")
+# Each ASCII byte's class under _TOKEN_RE: b"w" for what `\w` matches,
+# b" " for what `\s` matches, b"p" for the rest. str.isalnum and
+# str.isspace are the predicates re uses for `\w` and `\s` on str patterns.
+_ASCII_CLASS = bytes(
+    ord("w") if c.isalnum() or c == "_" else ord(" ") if c.isspace() else ord("p")
+    for c in map(chr, range(128))
+) + b"p" * 128
 
 
 def normalize(text: str) -> str:
@@ -33,9 +40,13 @@ def rough_token_count(text: str) -> int:
 
     Fixed fallback estimator for prompt-token accounting when a backend
     reports no usage; versioned with the package so ledgers stay
-    comparable across runs.
+    comparable across runs. ASCII text is counted without building the
+    tokens: one per punctuation character plus one per start of a word.
     """
-    return len(_TOKEN_RE.findall(text))
+    if not text.isascii():
+        return len(_TOKEN_RE.findall(text))
+    c = text.encode("ascii").translate(_ASCII_CLASS)
+    return c.count(b"p") + c.count(b" w") + c.count(b"pw") + c.startswith(b"w")
 
 
 def splits_token(text: str, i: int) -> int:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import re
 import sys
@@ -59,6 +60,54 @@ def test_chat_request_validation_and_key():
         ChatRequest(messages=(Message("user", "hi"),))
     assert _req().key() == _req().key()
     assert _req("a").key() != _req("b").key()
+
+
+def _reference_key(req):
+    blob = json.dumps(
+        [req.model_id] + [[m.role, m.content] for m in req.messages], ensure_ascii=False
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_chat_request_key_is_pinned():
+    # Recorded fixtures are looked up by this digest, so it must never move.
+    req = ChatRequest(
+        messages=(
+            Message("system", "Say \"hi\" to C:\\\\tmp\nthen\ttab\x01 café 😀"),
+            Message("user", "é\\\"😀\n"),
+        ),
+        model_id="m-1",
+    )
+    assert req.key() == "6d9c5749534fa9804f65326304694405ab63d6066c87d08cc34e7fa3f796488a"
+    assert req.key() == _reference_key(req)
+
+
+_KEY_TEXT = st.text(
+    st.sampled_from(["a", "Z", "0", " ", '"', "\\", "/", "\n", "\r", "\t", "\b", "\f",
+                     "\x00", "\x01", "\x1f", "\x7f", "é", "\xa0", "\u2028", "😀"])
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=30,
+)
+
+
+@given(
+    _KEY_TEXT,
+    _KEY_TEXT,
+    st.lists(st.tuples(_KEY_TEXT, _KEY_TEXT), max_size=3),
+)
+def test_chat_request_key_matches_json_dumps_reference(model_id, system, rest):
+    req = ChatRequest(
+        messages=(Message("system", system),) + tuple(Message(r, c) for r, c in rest),
+        model_id=model_id,
+    )
+    assert req.key() == _reference_key(req)
+
+
+def test_chat_request_key_rejects_lone_surrogate():
+    with pytest.raises(UnicodeEncodeError):
+        _req("a\ud800b").key()
+    with pytest.raises(UnicodeEncodeError):
+        ChatRequest(messages=(Message("system", "x"),), model_id="\udfff").key()
 
 
 def test_usage_invariants():

@@ -84,9 +84,18 @@ def test_judge_scripted_verdicts():
     assert verdict is JudgeVerdict.UNJUDGED
 
     verdict, _, _ = judge(
-        fifo(json.dumps({"is_correct": "perhaps"})), "q", "x", ["y"]
+        fifo(json.dumps({"is_correct": False, "reasoning": "other city"})),
+        "q", "Boston", ["New York City"],
     )
-    assert verdict is JudgeVerdict.UNJUDGED
+    assert verdict is JudgeVerdict.WRONG
+
+    # Only a JSON boolean or a verdict word counts; no other value is cast.
+    for raw in ("perhaps", None, 0, 1, 1.5, [1], [], {}):
+        verdict, reasoning, called = judge(
+            fifo(json.dumps({"is_correct": raw})), "q", "x", ["y"]
+        )
+        assert verdict is JudgeVerdict.UNJUDGED and called, raw
+        assert reasoning == f"unrecognized is_correct value {raw!r}"
 
     # An empty script raises TransportError: the row is Unjudged, not lost.
     verdict, reasoning, called = judge(fifo(), "q", "x", ["y"])

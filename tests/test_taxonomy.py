@@ -55,8 +55,12 @@ def test_parse_error_type_aliases_and_case():
     assert parse_error_type("off topic") is ErrorType.OFF_TOPIC
     assert parse_error_type("OFFTOPIC") is ErrorType.OFF_TOPIC
     assert parse_error_type(" premature attribution ") is ErrorType.PREMATURE_ATTRIBUTION
-    with pytest.raises(ValueError):
-        parse_error_type("totally novel error")
+    for et in ErrorType:
+        for label in (et.value, et.value.upper(), et.value.lower(), f"\t {et.value}  \n"):
+            assert parse_error_type(label) is et, label
+    for label in ("totally novel error", "", "Off_topic", "Correct Error"):
+        with pytest.raises(ValueError, match="unknown error type label"):
+            parse_error_type(label)
 
 
 def test_admissible_sets_and_order():

@@ -1,3 +1,5 @@
+import re
+
 from hypothesis import given, strategies as st
 
 from hopcheck.textnorm import normalize, rough_token_count, splits_token, tokens
@@ -17,6 +19,26 @@ def test_rough_token_count_counts_words_and_punctuation():
     assert rough_token_count("") == 0
     assert rough_token_count("one two three") == 3
     assert rough_token_count("Hello, world!") == 4
+
+
+# Every class the counter tells apart: ASCII word characters, every ASCII
+# whitespace character (\x1c-\x1f included), other ASCII controls and
+# punctuation, and non-ASCII letters, spaces and punctuation. Pure ASCII
+# text takes the table-driven path, anything else the regex.
+_ASCII_CHARS = st.sampled_from(
+    list("aZq09_ \t\n\v\f\r\x1c\x1d\x1e\x1f\x00\x01\x7f.,;'\"()-!?$")
+) | st.characters(max_codepoint=0x7F)
+_NON_ASCII_CHARS = st.sampled_from(
+    ["é", "ß", "Ж", "中", "\xa0", "\u3000", "\u2028", "—", "«", "。", "😀"]
+)
+
+
+@given(
+    st.text(_ASCII_CHARS, max_size=80)
+    | st.text(_ASCII_CHARS | _NON_ASCII_CHARS, max_size=80)
+)
+def test_rough_token_count_matches_regex_reference(text):
+    assert rough_token_count(text) == len(re.findall(r"\w+|[^\w\s]", text))
 
 
 @given(st.text(max_size=200))
