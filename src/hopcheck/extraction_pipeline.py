@@ -17,6 +17,7 @@ from typing import Iterable
 from .data_model import QAInstance
 from .kg_graph import (
     AliasGroup,
+    KeyMemo,
     LocalizedKG,
     NoiseLabel,
     PathPattern,
@@ -55,12 +56,13 @@ _GENERIC_TERMS = frozenset(
 )
 
 
-def _is_pronoun(text: str) -> bool:
-    return normalize(text) in _PRONOUNS
+def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[list[Triple], int]:
+    """Keep well-formed [subject, predicate, object] rows; count rejects.
 
-
-def _coerce_triples(items: list, source_passage: int) -> tuple[list[Triple], int]:
-    """Keep well-formed [subject, predicate, object] rows; count rejects."""
+    A row is rejected when it is malformed, or when its head or tail is a
+    pronoun or normalizes to empty ("The", "?"): such a surface names no
+    entity, and as a node key it would join unrelated triples.
+    """
     kept: list[Triple] = []
     rejected = 0
     for item in items:
@@ -72,15 +74,16 @@ def _coerce_triples(items: list, source_passage: int) -> tuple[list[Triple], int
             rejected += 1
             continue
         head, relation, tail = (s.strip() for s in item)
-        if _is_pronoun(head) or _is_pronoun(tail):
+        head_key, tail_key = keys[head], keys[tail]
+        if not head_key or not tail_key or head_key in _PRONOUNS or tail_key in _PRONOUNS:
             rejected += 1
             continue
         kept.append(Triple(head, relation, tail, source_passage))
     return kept, rejected
 
 
-def _triple_key(t: Triple) -> tuple[str, str, str]:
-    return (normalize(t.head), normalize(t.relation.replace("_", " ")), normalize(t.tail))
+def _triple_key(t: Triple, keys: KeyMemo) -> tuple[str, str, str]:
+    return (keys[t.head], keys[t.relation.replace("_", " ")], keys[t.tail])
 
 
 def _triples_json(triples: list[Triple]) -> str:
@@ -95,9 +98,11 @@ class ExtractionResult:
 
 
 def extract_triples(
-    backend: Backend, instance: QAInstance, model_id: str = "default"
+    backend: Backend, instance: QAInstance, model_id: str = "default", *, keys: KeyMemo | None = None
 ) -> ExtractionResult:
-    """One extraction request per gold passage; malformed outputs are flagged."""
+    """One extraction request per gold passage; malformed outputs are flagged.
+    `keys` is the instance's normalization memo (a fresh one if omitted)."""
+    keys = KeyMemo() if keys is None else keys
     triples: list[Triple] = []
     failed: list[int] = []
     rejected = 0
@@ -107,7 +112,7 @@ def extract_triples(
         if isinstance(parsed, ParseFailure):
             failed.append(passage.index)
             continue
-        kept, bad = _coerce_triples(parsed, passage.index)
+        kept, bad = _coerce_triples(parsed, passage.index, keys)
         triples.extend(kept)
         rejected += bad
     return ExtractionResult(
@@ -123,10 +128,13 @@ def glean(
     existing: list[Triple],
     source_passage: int,
     model_id: str = "default",
+    *,
+    keys: KeyMemo | None = None,
 ) -> tuple[list[Triple], int]:
     """Recall pass over one passage: ask for missed triples, at most
     MAX_GLEANING_ROUNDS times, stopping early once a round adds nothing new."""
-    known = {_triple_key(t) for t in existing}
+    keys = KeyMemo() if keys is None else keys
+    known = {_triple_key(t, keys) for t in existing}
     pool = list(existing)
     added: list[Triple] = []
     rounds = 0
@@ -136,27 +144,27 @@ def glean(
         parsed = parse_json_list(resp.text)
         if isinstance(parsed, ParseFailure):
             break
-        kept, _bad = _coerce_triples(parsed, source_passage)
-        fresh = [t for t in kept if _triple_key(t) not in known]
+        kept, _bad = _coerce_triples(parsed, source_passage, keys)
+        fresh = [t for t in kept if _triple_key(t, keys) not in known]
         if not fresh:
             break
         for t in fresh:
-            known.add(_triple_key(t))
+            known.add(_triple_key(t, keys))
         pool.extend(fresh)
         added.extend(fresh)
     return added, rounds
 
 
-def _entity_surface_forms(triples: list[Triple]) -> list[str]:
+def _entity_surface_forms(triples: list[Triple], keys: KeyMemo) -> list[str]:
     seen: dict[str, str] = {}
     for t in triples:
         for surface in (t.head, t.tail):
-            seen.setdefault(normalize(surface), surface)
+            seen.setdefault(keys[surface], surface)
     return [seen[k] for k in sorted(seen)]
 
 
-def _groupable(member: str) -> bool:
-    norm = normalize(member)
+def _groupable(member: str, keys: KeyMemo) -> bool:
+    norm = keys[member]
     if not norm or norm in _GENERIC_TERMS:
         return False
     if parse_orderable(member) is not None:
@@ -165,7 +173,7 @@ def _groupable(member: str) -> bool:
 
 
 def resolve_entities(
-    backend: Backend, triples: list[Triple], model_id: str = "default"
+    backend: Backend, triples: list[Triple], model_id: str = "default", *, keys: KeyMemo | None = None
 ) -> tuple[list[AliasGroup], bool]:
     """Single resolution request over all entity surface forms.
 
@@ -173,7 +181,8 @@ def resolve_entities(
     occurrence; generic terms and date/number literals are dropped.
     A parse failure yields no groups and is reported via the flag.
     """
-    entities = _entity_surface_forms(triples)
+    keys = KeyMemo() if keys is None else keys
+    entities = _entity_surface_forms(triples, keys)
     if not entities:
         return [], True
     _, resp = ask(
@@ -191,18 +200,18 @@ def resolve_entities(
         if not isinstance(raw_group, list):
             continue
         members: list[str] = []
-        keys: set[str] = set()
+        member_keys: set[str] = set()
         for member in raw_group:
-            if not isinstance(member, str) or not _groupable(member):
+            if not isinstance(member, str) or not _groupable(member, keys):
                 continue
-            key = normalize(member)
-            if key in claimed or key in keys:
+            key = keys[member]
+            if key in claimed or key in member_keys:
                 continue
             members.append(member)
-            keys.add(key)
+            member_keys.add(key)
         if len(members) < 2:
             continue
-        claimed |= keys
+        claimed |= member_keys
         groups.append(AliasGroup(members=frozenset(members), canonical=members[0]))
     return groups, True
 
@@ -240,8 +249,7 @@ def _question_entities(instance: QAInstance) -> set[str]:
     return {p.title for p in instance.gold_passages}
 
 
-def _deterministic_verdict(kg: LocalizedKG, instance: QAInstance) -> PathVerdict:
-    entities = _question_entities(instance)
+def _deterministic_verdict(kg: LocalizedKG, instance: QAInstance, entities: set[str]) -> PathVerdict:
     verdict = None
     for answer in instance.gold_answers:
         if not normalize(answer):
@@ -297,19 +305,26 @@ def verify_instance(
     validity disagreement is recorded; the deterministic verdict is
     primary. A failed backend call leaves the instance unverified, with an
     empty graph and a `backend_failed:<error>` flag.
+
+    Every surface is normalized once, through one memo that extraction,
+    gleaning, resolution and build_kg share and that ends with the call.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"mode must be one of {VERIFY_MODES}, got {mode!r}")
+    keys = KeyMemo()
     try:
-        extraction = extract_triples(backend, instance, model_id)
+        extraction = extract_triples(backend, instance, model_id, keys=keys)
         triples = list(extraction.triples)
+        by_passage: dict[int, list[Triple]] = {}
+        for t in triples:
+            by_passage.setdefault(t.source_passage, []).append(t)
         gleaning_rounds = 0
         gleaned = 0
         for passage in instance.gold_passages:
             if passage.index in extraction.failed_passages:
                 continue
-            own = [t for t in triples if t.source_passage == passage.index]
-            fresh, rounds = glean(backend, passage.body, own, passage.index, model_id)
+            own = by_passage.get(passage.index, [])
+            fresh, rounds = glean(backend, passage.body, own, passage.index, model_id, keys=keys)
             triples.extend(fresh)
             gleaned += len(fresh)
             gleaning_rounds += rounds
@@ -333,11 +348,11 @@ def verify_instance(
                 flags=tuple(flags + ["unverified"]),
             )
 
-        groups, resolved = resolve_entities(backend, triples, model_id)
+        groups, resolved = resolve_entities(backend, triples, model_id, keys=keys)
         if not resolved:
             flags.append("entity_resolution_unparseable")
         counters["alias_groups"] = len(groups)
-        kg = build_kg(triples, groups)
+        kg = build_kg(triples, groups, keys=keys)
         llm = _llm_verdict(backend, kg, instance, model_id) if mode != "deterministic" else None
     except TransportError as exc:
         return InstanceReport(
@@ -348,7 +363,8 @@ def verify_instance(
             flags=(f"backend_failed:{type(exc).__name__}", "unverified"),
         )
 
-    det = _deterministic_verdict(kg, instance) if mode != "llm" else None
+    entities = _question_entities(instance)
+    det = _deterministic_verdict(kg, instance, entities) if mode != "llm" else None
     if mode == "llm":
         if llm is None:
             return InstanceReport(
@@ -365,13 +381,7 @@ def verify_instance(
         if mode == "cross-check" and llm is None:
             flags.append("llm_verdict_unparseable")
 
-    label = classify_noise(
-        verdict,
-        kg,
-        instance.question,
-        _question_entities(instance),
-        instance.gold_answers,
-    )
+    label = classify_noise(verdict, kg, instance.question, entities, instance.gold_answers)
     return InstanceReport(
         instance_id=instance.id,
         verdict=verdict,

@@ -32,6 +32,18 @@ def canonical_key(text: str) -> str:
     return normalize(text)
 
 
+class KeyMemo(dict):
+    """text -> canonical_key(text), normalizing each text once.
+
+    A memo serves one verified instance or one build_kg call and is then
+    dropped; nothing is cached across instances.
+    """
+
+    def __missing__(self, text: str) -> str:
+        key = self[text] = normalize(text)
+        return key
+
+
 def content_tokens(text: str) -> frozenset[str]:
     return frozenset(t for t in normalize(text).split() if t not in _STOPWORDS)
 
@@ -65,10 +77,6 @@ _SYNONYMS = _SynonymTable()
 def predicate_class(predicate: str) -> str:
     """Equivalence class key for semantic predicate matching."""
     return _SYNONYMS.predicate_class(predicate)
-
-
-def predicates_match(a: str, b: str) -> bool:
-    return predicate_class(a) == predicate_class(b)
 
 
 def primary_answer(gold_answers: tuple[str, ...]) -> str:
@@ -182,28 +190,32 @@ class NoiseLabel(str, Enum):
     AMBIGUOUS = "Ambiguous"
 
 
-def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
+def build_kg(
+    triples: list[Triple], groups: list[AliasGroup], *, keys: KeyMemo | None = None
+) -> LocalizedKG:
     """Canonicalize endpoints, merge aliases, deduplicate edges.
 
-    Idempotent: rebuilding from the output triples with the same groups
-    is a fixed point.
+    Surfaces are keyed through `keys`, the caller's per-instance memo, or
+    a fresh one for this build. Idempotent: rebuilding from the output
+    triples with the same groups is a fixed point.
     """
+    keys = KeyMemo() if keys is None else keys
     aliases: dict[str, str] = {}
     for group in groups:
-        group_key = canonical_key(group.canonical)
+        group_key = keys[group.canonical]
         for member in group.members:
-            key = canonical_key(member)
-            if key in aliases and canonical_key(aliases[key]) != group_key:
+            key = keys[member]
+            if key in aliases and keys[aliases[key]] != group_key:
                 raise OverlappingAliasGroupsError(member)
             aliases[key] = group.canonical
 
     labels: dict[str, str] = {}
 
     def resolve(surface: str) -> tuple[str, str]:
-        key = canonical_key(surface)
+        key = keys[surface]
         if key in aliases:
             surface = aliases[key]
-            key = canonical_key(surface)
+            key = keys[surface]
         return key, labels.setdefault(key, surface)
 
     # (head key, relation key, tail key) -> (head label, relation, tail label, sources)
@@ -212,7 +224,7 @@ def build_kg(triples: list[Triple], groups: list[AliasGroup]) -> LocalizedKG:
     for t in triples:
         hk, hl = resolve(t.head)
         tk, tl = resolve(t.tail)
-        dedup_key = (hk, canonical_key(t.relation), tk)
+        dedup_key = (hk, keys[t.relation], tk)
         if dedup_key not in dedup:
             edge_id = str(len(dedup))
             adjacency.setdefault(hk, []).append((tk, t.relation, edge_id))

@@ -2,15 +2,15 @@
 
 Ten mutually exclusive error types across four categories, plus Correct.
 Candidate feedback is validated against the step kind's admissible set,
-and a reference evaluation engine applies caller-supplied check
-predicates in the fixed phase/priority order. Everything here is pure.
+listed in the fixed phase/priority order of the evaluation protocol.
+Everything here is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping
 
 from .step_grammar import ReasoningStep, StepKind
 
@@ -145,37 +145,3 @@ def validate_feedback(fb: Feedback, step: ReasoningStep) -> None:
             f"error type {fb.error_type.value!r} is not admissible "
             f"for {step.kind.value} steps"
         )
-
-
-CheckPredicate = Callable[[ReasoningStep, Sequence[ReasoningStep]], bool]
-
-
-def reference_evaluate(
-    checks: Mapping[ErrorType, CheckPredicate],
-    step: ReasoningStep,
-    prefix: Sequence[ReasoningStep] = (),
-    passages: Sequence[str] = (),
-) -> Feedback:
-    """Apply check predicates in protocol order; first failure wins.
-
-    A predicate returning True means the step FAILS that check. Checks
-    for types not admissible for the step kind are ignored; with no
-    failing check the verdict is Correct. The real evaluator is an LLM;
-    this engine exists so the priority logic is testable in isolation.
-    """
-    del passages  # reserved for predicates closed over shared state
-    for error_type in admissible_errors(step.kind):
-        if error_type is ErrorType.CORRECT:
-            break
-        predicate = checks.get(error_type)
-        if predicate is not None and predicate(step, prefix):
-            return Feedback(
-                error_type=error_type,
-                diagnosis=f"Step {step.index} failed the {error_type.value} check.",
-                guidance=f"Rewrite step {step.index} to avoid the {error_type.value} fault.",
-            )
-    return Feedback(
-        error_type=ErrorType.CORRECT,
-        diagnosis=f"Step {step.index} passed all checks.",
-        guidance="Proceed with the next atomic reasoning step.",
-    )

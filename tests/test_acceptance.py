@@ -36,11 +36,12 @@ from hopcheck.step_grammar import (
     parse_step,
     render_step,
 )
-from hopcheck.taxonomy import ErrorType, admissible_errors, reference_evaluate
+from hopcheck.taxonomy import ErrorType, admissible_errors
 
 from fixture_utils import FIXTURES, build_instance, build_verify_backend, load_noise_fixtures
 from kg_random import random_case
 from path_oracle import oracle_is_valid
+from taxonomy_reference import reference_evaluate
 from test_datagen import corrupting_teacher, make_trajectory
 from test_datagen import make_instance as make_datagen_instance
 from test_feedback_loop import (

@@ -1,0 +1,94 @@
+"""The benchmark's hooks still attach to the program and come off cleanly.
+
+bench/tracer.py patches hopcheck functions by name and reads some of
+their arguments by position. A renamed function or a reordered argument
+would otherwise break `bench/run.py --trace 1` only when the bench runs.
+"""
+
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import hopcheck
+from fixture_utils import build_instance, build_verify_backend, load_noise_fixtures
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracer")
+
+
+def _bindings() -> dict:
+    """Every module attribute and class attribute of the hopcheck package."""
+    names = [f"hopcheck.{m.name}" for m in pkgutil.iter_modules(hopcheck.__path__)]
+    modules = [hopcheck, *map(importlib.import_module, names)]
+    bound = {}
+    for module in modules:
+        for key, value in vars(module).items():
+            bound[(module.__name__, key)] = value
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr, member in vars(value).items():
+                    bound[(module.__name__, key, attr)] = member
+    return bound
+
+
+def _verify_one():
+    from hopcheck import cli
+
+    record = load_noise_fixtures()["grounded"][0]
+    instance = build_instance(record)
+    report = cli.verify_instance(build_verify_backend(record), instance, mode="deterministic", model_id="m")
+    assert report.noise_label is not None
+    return instance
+
+
+def _assert_restored(before: dict) -> None:
+    after = _bindings()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert not changed, f"not restored: {changed}"
+
+
+def test_item_timer_attaches_and_restores(tracer):
+    before = _bindings()
+    timer = tracer.ItemTimer()
+    timer.install()
+    try:
+        _verify_one()
+    finally:
+        timer.uninstall()
+    assert len(timer.latencies_ns) == 1
+    _assert_restored(before)
+
+
+def test_tracer_attaches_and_restores(tracer):
+    before = _bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        instance = _verify_one()
+        t.end_pass()
+    finally:
+        t.uninstall()
+    _assert_restored(before)
+    calls = t.summary()["details"]["span_calls_per_pass"]
+    gold = len(instance.gold_passages)
+    assert calls["extraction_pipeline.verify_instance"] == 1
+    assert calls["extraction_pipeline.extract_triples"] == 1
+    assert calls["extraction_pipeline.glean"] == gold
+    assert calls["extraction_pipeline.resolve_entities"] == 1
+    assert calls["kg_graph.build_kg"] >= 1
+    assert calls["kg_graph.find_grounded_path"] >= 1
+    assert calls["kg_graph.classify_noise"] == 1
+    counts = t.counts
+    assert counts["llm_client.calls_by_prompt.triple_extraction"] == gold
+    assert counts["llm_client.calls_by_prompt.gleaning"] == gold
+    assert counts["llm_client.calls_by_prompt.entity_resolution"] == 1
+    # on_glean reads glean's existing triples as args[2] and the added ones
+    # as result[0]; every gleaning reply here is empty, so no round grew.
+    assert counts["extraction_pipeline.glean.rounds"] == gold
+    assert counts["extraction_pipeline.glean.fresh_rounds"] == 0

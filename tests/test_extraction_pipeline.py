@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from hopcheck import extraction_pipeline, kg_graph
 from hopcheck.extraction_pipeline import (
     MAX_GLEANING_ROUNDS,
     NoiseStats,
@@ -15,6 +16,7 @@ from hopcheck.extraction_pipeline import (
 )
 from hopcheck.kg_graph import NoiseLabel, Triple
 from hopcheck.llm_client import ChatResponse, ScriptedBackend
+from hopcheck.textnorm import normalize
 from fixture_utils import build_instance, build_verify_backend, load_noise_fixtures
 
 
@@ -40,7 +42,7 @@ def test_extract_one_call_per_gold_passage_and_pronoun_rejection():
     instance = build_instance(record)
     texts = []
     for _ in instance.gold_passages:
-        texts.append(json.dumps([["A", "directed by", "B"], ["He", "born in", "Rome"],
+        texts.append(json.dumps([["Ada", "directed by", "B"], ["He", "born in", "Rome"],
                                  ["C", "spouse", "it"], ["too", "short"]]))
     backend = _fifo(*texts)
     result = extract_triples(backend, instance)
@@ -48,7 +50,88 @@ def test_extract_one_call_per_gold_passage_and_pronoun_rejection():
     # per passage: one kept, three rejected (pronoun head, pronoun tail, wrong arity)
     assert len(result.triples) == len(instance.gold_passages)
     assert result.rejected == 3 * len(instance.gold_passages)
-    assert all(t.head == "A" for t in result.triples)
+    assert all(t.head == "Ada" for t in result.triples)
+
+
+@pytest.mark.parametrize("surface", ["The", "?", "...", "a"])
+def test_extract_rejects_surfaces_that_normalize_to_empty(surface):
+    instance = build_instance(_ALL_RECORDS[0])
+    rows = [["Alpha Corp", "owns", surface], [surface, "founded", "Beta Inc"],
+            ["Alpha Corp", "owns", "Beta Inc"]]
+    result = extract_triples(_fifo(*[json.dumps(rows)] * len(instance.gold_passages)), instance)
+    assert [t.as_list() for t in result.triples] == [["Alpha Corp", "owns", "Beta Inc"]] * len(
+        instance.gold_passages
+    )
+    assert result.rejected == 2 * len(instance.gold_passages)
+
+
+def _two_passage_instance(question, answer, entities):
+    return build_instance({
+        "id": "q1",
+        "question": question,
+        "gold_answers": [answer],
+        "question_entities": entities,
+        "gold_passages": [{"title": "P1", "body": "First."}, {"title": "P2", "body": "Second."}],
+    })
+
+
+def test_verify_empty_surfaces_do_not_join_unrelated_triples():
+    # "The" and "?" both normalize to "": kept, they would be one node that
+    # links Alpha Corp to Beta Inc through an edge nobody extracted.
+    instance = _two_passage_instance("Who does Alpha Corp own?", "Beta Inc", ["Alpha Corp"])
+    backend = _fifo(
+        json.dumps([["Alpha Corp", "owns", "The"], ["Alpha Corp", "based in", "Springfield"]]),
+        json.dumps([["?", "founded", "Beta Inc"], ["Beta Inc", "based in", "Shelbyville"]]),
+        "[]", "[]", "[]",
+    )
+    report = verify_instance(backend, instance)
+    assert not report.verdict.is_valid
+    assert report.noise_label is NoiseLabel.MISSING_EVIDENCE
+    assert report.counters["rejected_triples"] == 2
+    assert "" not in report.kg.nodes
+    assert backend.calls == 5
+
+
+def test_verify_normalizes_each_string_once_before_the_search(monkeypatch):
+    """Extraction, gleaning, resolution and build_kg share one memo: no
+    string is normalized twice, however often the replies repeat it."""
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize(text)
+
+    before_search = []
+
+    def build_then_mark(*args, **kwargs):
+        kg = real_build_kg(*args, **kwargs)
+        before_search.extend(calls)
+        return kg
+
+    real_build_kg = extraction_pipeline.build_kg
+    monkeypatch.setattr(kg_graph, "normalize", counting_normalize)
+    monkeypatch.setattr(extraction_pipeline, "normalize", counting_normalize)
+    monkeypatch.setattr(extraction_pipeline, "build_kg", build_then_mark)
+    instance = _two_passage_instance(
+        "Where was the spouse of Marie Curie born?", "Paris", ["Marie Curie"]
+    )
+    backend = _fifo(
+        json.dumps([["Marie Curie", "born in", "Warsaw"], ["Marie Curie", "spouse", "Pierre Curie"]]),
+        json.dumps([["Pierre Curie", "born in", "Paris"], ["Warsaw", "capital of", "Poland"],
+                    ["He", "born in", "Paris"]]),
+        # passage 1 gleaning: one fresh triple, then only repeats
+        json.dumps([["Marie Curie", "born_in", "Warsaw"], ["Pierre Curie", "born in", "Paris"]]),
+        json.dumps([["Marie Curie", "spouse", "Pierre Curie"], ["Pierre Curie", "born in", "Paris"]]),
+        # passage 2 gleaning: repeats only
+        json.dumps([["Warsaw", "capital of", "Poland"], ["Pierre Curie", "born_in", "Paris"]]),
+        json.dumps([["Pierre Curie", "P. Curie"], ["Warsaw", "warsaw"]]),
+    )
+    report = verify_instance(backend, instance)
+    assert backend.calls == 6
+    assert report.verdict.is_valid
+    assert report.counters["gleaned_triples"] == 1
+    assert before_search
+    assert len(before_search) <= len(set(before_search)), sorted(before_search)
 
 
 def test_extract_flags_unparseable_passage():
@@ -60,9 +143,9 @@ def test_extract_flags_unparseable_passage():
 
 
 def test_glean_dedup_and_early_stop():
-    existing = [Triple("A", "directed by", "B", 1)]
+    existing = [Triple("Ada", "directed by", "B", 1)]
     backend = _fifo(
-        json.dumps([["A", "directed_by", "B"], ["B", "born in", "Rome"]]),
+        json.dumps([["Ada", "directed_by", "B"], ["B", "born in", "Rome"]]),
         json.dumps([["B", "born in", "Rome"]]),  # nothing new: stop
         json.dumps([["never", "reached", "round"]]),
     )

@@ -10,9 +10,10 @@ from hopcheck.taxonomy import (
     InadmissibleFeedbackError,
     admissible_errors,
     parse_error_type,
-    reference_evaluate,
     validate_feedback,
 )
+
+from taxonomy_reference import reference_evaluate
 
 
 def _step(kind: StepKind) -> ReasoningStep:
