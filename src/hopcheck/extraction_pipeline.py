@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .data_model import QAInstance
 from .kg_graph import (
+    NON_ENTITY_KEYS,
     AliasGroup,
     KeyMemo,
     LocalizedKG,
@@ -28,6 +29,7 @@ from .kg_graph import (
     find_grounded_path,
     parse_orderable,
     primary_answer,
+    relation_key,
 )
 from .llm_client import (
     Backend,
@@ -43,11 +45,6 @@ MAX_GLEANING_ROUNDS = 2
 
 VERIFY_MODES = ("deterministic", "llm", "cross-check")
 
-_PRONOUNS = frozenset(
-    "he she it they them him her his hers its their theirs this that these "
-    "those i we you who whom which someone something".split()
-)
-
 # Generic role/category words the resolver must never treat as entities.
 _GENERIC_TERMS = frozenset(
     "president mother father son daughter band album film movie company "
@@ -59,9 +56,8 @@ _GENERIC_TERMS = frozenset(
 def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[list[Triple], int]:
     """Keep well-formed [subject, predicate, object] rows; count rejects.
 
-    A row is rejected when it is malformed, or when its head or tail is a
-    pronoun or normalizes to empty ("The", "?"): such a surface names no
-    entity, and as a node key it would join unrelated triples.
+    A row is rejected when it is malformed, or when its head or tail key
+    is one of NON_ENTITY_KEYS (a pronoun, or empty as for "The" and "?").
     """
     kept: list[Triple] = []
     rejected = 0
@@ -74,8 +70,7 @@ def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[li
             rejected += 1
             continue
         head, relation, tail = (s.strip() for s in item)
-        head_key, tail_key = keys[head], keys[tail]
-        if not head_key or not tail_key or head_key in _PRONOUNS or tail_key in _PRONOUNS:
+        if keys[head] in NON_ENTITY_KEYS or keys[tail] in NON_ENTITY_KEYS:
             rejected += 1
             continue
         kept.append(Triple(head, relation, tail, source_passage))
@@ -83,7 +78,7 @@ def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[li
 
 
 def _triple_key(t: Triple, keys: KeyMemo) -> tuple[str, str, str]:
-    return (keys[t.head], keys[t.relation.replace("_", " ")], keys[t.tail])
+    return (keys[t.head], relation_key(t.relation, keys), keys[t.tail])
 
 
 def _triples_json(triples: list[Triple]) -> str:
@@ -165,11 +160,7 @@ def _entity_surface_forms(triples: list[Triple], keys: KeyMemo) -> list[str]:
 
 def _groupable(member: str, keys: KeyMemo) -> bool:
     norm = keys[member]
-    if not norm or norm in _GENERIC_TERMS:
-        return False
-    if parse_orderable(member) is not None:
-        return False
-    return True
+    return norm not in NON_ENTITY_KEYS and norm not in _GENERIC_TERMS and parse_orderable(member) is None
 
 
 def resolve_entities(

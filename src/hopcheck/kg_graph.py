@@ -28,6 +28,14 @@ _STOPWORDS = frozenset(
 )
 
 
+# Keys that name no entity: the empty key of "The" or "?", and pronouns.
+# As a node key, any of them would join unrelated triples.
+NON_ENTITY_KEYS = frozenset(
+    "he she it they them him her his hers its their theirs this that these "
+    "those i we you who whom which someone something".split()
+) | {""}
+
+
 def canonical_key(text: str) -> str:
     return normalize(text)
 
@@ -48,35 +56,32 @@ def content_tokens(text: str) -> frozenset[str]:
     return frozenset(t for t in normalize(text).split() if t not in _STOPWORDS)
 
 
-class _SynonymTable:
-    def __init__(self) -> None:
-        raw = json.loads(
-            resources.files("hopcheck.assets")
-            .joinpath("predicate_synonyms.json")
-            .read_text("utf-8")
-        )
-        self._class_of: dict[str, int] = {}
-        for class_id, group in enumerate(raw["groups"]):
-            for form in group:
-                self._class_of[self._norm(form)] = class_id
-
-    @staticmethod
-    def _norm(predicate: str) -> str:
-        toks = sorted(t for t in normalize(predicate.replace("_", " ")).split() if t not in _STOPWORDS)
-        return " ".join(toks)
-
-    def predicate_class(self, predicate: str) -> str:
-        norm = self._norm(predicate)
-        class_id = self._class_of.get(norm)
-        return f"syn:{class_id}" if class_id is not None else f"lit:{norm}"
+def relation_key(relation: str, keys: KeyMemo | None = None) -> str:
+    """Predicate key: words joined by "_" and words joined by spaces name
+    the same predicate. `keys` is the caller's memo, if it has one."""
+    text = relation.replace("_", " ")
+    return normalize(text) if keys is None else keys[text]
 
 
-_SYNONYMS = _SynonymTable()
+def _predicate_form(predicate: str) -> str:
+    """The relation key's content words, sorted."""
+    return " ".join(sorted(t for t in relation_key(predicate).split() if t not in _STOPWORDS))
+
+
+_PREDICATE_CLASS: dict[str, int] = {
+    _predicate_form(form): class_id
+    for class_id, group in enumerate(
+        json.loads(resources.files("hopcheck.assets").joinpath("predicate_synonyms.json").read_text("utf-8"))["groups"]
+    )
+    for form in group
+}
 
 
 def predicate_class(predicate: str) -> str:
     """Equivalence class key for semantic predicate matching."""
-    return _SYNONYMS.predicate_class(predicate)
+    form = _predicate_form(predicate)
+    class_id = _PREDICATE_CLASS.get(form)
+    return f"syn:{class_id}" if class_id is not None else f"lit:{form}"
 
 
 def primary_answer(gold_answers: tuple[str, ...]) -> str:
@@ -196,8 +201,10 @@ def build_kg(
     """Canonicalize endpoints, merge aliases, deduplicate edges.
 
     Surfaces are keyed through `keys`, the caller's per-instance memo, or
-    a fresh one for this build. Idempotent: rebuilding from the output
-    triples with the same groups is a fixed point.
+    a fresh one for this build; edges are deduplicated by relation_key. A
+    triple with an endpoint that resolves to one of NON_ENTITY_KEYS is
+    dropped. Idempotent: rebuilding from the output triples with the same
+    groups is a fixed point.
     """
     keys = KeyMemo() if keys is None else keys
     aliases: dict[str, str] = {}
@@ -216,7 +223,7 @@ def build_kg(
         if key in aliases:
             surface = aliases[key]
             key = keys[surface]
-        return key, labels.setdefault(key, surface)
+        return key, surface
 
     # (head key, relation key, tail key) -> (head label, relation, tail label, sources)
     dedup: dict[tuple[str, str, str], tuple[str, str, str, set[int]]] = {}
@@ -224,7 +231,11 @@ def build_kg(
     for t in triples:
         hk, hl = resolve(t.head)
         tk, tl = resolve(t.tail)
-        dedup_key = (hk, keys[t.relation], tk)
+        if hk in NON_ENTITY_KEYS or tk in NON_ENTITY_KEYS:
+            continue
+        hl = labels.setdefault(hk, hl)
+        tl = labels.setdefault(tk, tl)
+        dedup_key = (hk, relation_key(t.relation, keys), tk)
         if dedup_key not in dedup:
             edge_id = str(len(dedup))
             adjacency.setdefault(hk, []).append((tk, t.relation, edge_id))
@@ -547,9 +558,9 @@ def _complete_contradicting_chain(
     for terminal in reached:
         if kg.degree(terminal) > 1:
             continue
+        # q_tokens holds no stopwords, so the relation's need no filtering.
         if not any(
-            content_tokens(relation.replace("_", " ")) & q_tokens
-            for _, relation, _ in kg.adjacency[terminal]
+            q_tokens.intersection(relation_key(relation).split()) for _, relation, _ in kg.adjacency[terminal]
         ):
             continue
         label = kg.nodes[terminal]

@@ -114,8 +114,6 @@ def _json_string_body(s: str) -> bytes:
 class ChatRequest:
     messages: tuple[Message, ...]
     model_id: str = "default"
-    temperature: float = 0.0
-    max_tokens: int = 1024
 
     def __post_init__(self) -> None:
         if not self.messages:
@@ -278,8 +276,8 @@ class OpenAIBackend:
         payload = {
             "model": req.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],
-            "temperature": req.temperature,
-            "max_tokens": req.max_tokens,
+            "temperature": 0.0,
+            "max_tokens": 1024,
         }
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -385,15 +383,10 @@ def parse_json_list(text: str) -> list | ParseFailure:
 def build_request(
     template: PromptTemplate,
     model_id: str = "default",
-    max_tokens: int = 1024,
     **values: str,
 ) -> ChatRequest:
     """Render a catalog prompt into a single system-message request."""
-    return ChatRequest(
-        messages=(Message("system", template.render(**values)),),
-        model_id=model_id,
-        max_tokens=max_tokens,
-    )
+    return ChatRequest(messages=(Message("system", template.render(**values)),), model_id=model_id)
 
 
 def ask(backend: Backend, prompt: str, model_id: str, **values: str) -> tuple[str, ChatResponse]:

@@ -41,20 +41,6 @@ class ErrorType(str, Enum):
         return _CATEGORY[self]
 
 
-_CATEGORY: dict[ErrorType, ErrorCategory] = {
-    ErrorType.OVERTHINKING: ErrorCategory.PROCEDURAL,
-    ErrorType.INEFFICIENCY: ErrorCategory.PROCEDURAL,
-    ErrorType.OFF_TOPIC: ErrorCategory.PROCEDURAL,
-    ErrorType.REDUNDANCY: ErrorCategory.PROCEDURAL,
-    ErrorType.UNSUPPORTED: ErrorCategory.ATTRIBUTION,
-    ErrorType.PREMATURE_ATTRIBUTION: ErrorCategory.ATTRIBUTION,
-    ErrorType.INFORMATION_MISS: ErrorCategory.ATTRIBUTION,
-    ErrorType.CONTRADICTORY: ErrorCategory.ATTRIBUTION,
-    ErrorType.LOGICAL_FALLACY: ErrorCategory.LOGICAL,
-    ErrorType.WRONG_CONCLUSION: ErrorCategory.FINAL_ANSWER,
-    ErrorType.CORRECT: ErrorCategory.NONE,
-}
-
 # Accepted spellings seen in model outputs, mapped onto the enum.
 _ALIASES: dict[str, ErrorType] = {
     "correct (no error)": ErrorType.CORRECT,
@@ -91,6 +77,16 @@ _ATTRIBUTION_VALIDITY_ORDER = (
     ErrorType.INFORMATION_MISS,
     ErrorType.PREMATURE_ATTRIBUTION,
 )
+
+# Each category's members are the phase lists above, so an error type's
+# category and the step kinds that admit it cannot disagree.
+_CATEGORY: dict[ErrorType, ErrorCategory] = {
+    **dict.fromkeys(_UTILITY_ORDER, ErrorCategory.PROCEDURAL),
+    **dict.fromkeys(_ATTRIBUTION_VALIDITY_ORDER, ErrorCategory.ATTRIBUTION),
+    ErrorType.LOGICAL_FALLACY: ErrorCategory.LOGICAL,
+    ErrorType.WRONG_CONCLUSION: ErrorCategory.FINAL_ANSWER,
+    ErrorType.CORRECT: ErrorCategory.NONE,
+}
 
 
 def admissible_errors(kind: StepKind) -> tuple[ErrorType, ...]:

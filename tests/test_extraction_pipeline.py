@@ -14,7 +14,7 @@ from hopcheck.extraction_pipeline import (
     resolve_entities,
     verify_instance,
 )
-from hopcheck.kg_graph import NoiseLabel, Triple
+from hopcheck.kg_graph import AliasGroup, NoiseLabel, Triple
 from hopcheck.llm_client import ChatResponse, ScriptedBackend
 from hopcheck.textnorm import normalize
 from fixture_utils import build_instance, build_verify_backend, load_noise_fixtures
@@ -186,6 +186,16 @@ def test_resolve_entities_disjoint_and_filtered():
     assert len(groups) == 1
     assert groups[0].members == frozenset({"Paul Mercurio", "Paul Joseph"})
     assert groups[0].canonical == "Paul Mercurio"
+
+
+def test_resolve_entities_never_groups_a_surface_that_names_no_entity():
+    # A pronoun canonical would send the group's triples to a node build_kg drops.
+    triples = [Triple("John Smith", "founded", "Acme Works", 1)]
+    groups, ok = resolve_entities(
+        _fifo(json.dumps([["He", "John Smith", "J. Smith"], ["The", "Acme Works", "?"]])), triples
+    )
+    assert ok
+    assert groups == [AliasGroup(frozenset({"John Smith", "J. Smith"}), "John Smith")]
 
 
 def test_resolve_entities_parse_failure_flagged():

@@ -71,9 +71,9 @@ def test_parse_orderable():
 
 def test_build_kg_dedup_and_idempotence():
     rows = [
-        ("A", "spouse", "B", 1),
-        ("a", "Spouse", "b", 2),  # same edge, different case / source
-        ("A", "spouse", "B", 1),  # exact duplicate
+        ("Ada", "spouse", "B", 1),
+        ("ada", "Spouse", "b", 2),  # same edge, different case / source
+        ("Ada", "spouse", "B", 1),  # exact duplicate
     ]
     kg = _kg(rows)
     assert len(kg.edges) == 1
@@ -81,6 +81,30 @@ def test_build_kg_dedup_and_idempotence():
     rebuilt = build_kg(list(kg.triples), list(kg.resolution))
     assert rebuilt.edges == kg.edges
     assert rebuilt.nodes == kg.nodes
+
+
+def test_build_kg_one_edge_per_relation_key():
+    # Gleaning and predicate_class read "_" as a space; so does the edge dedup.
+    kg = _kg([("Acme Works", "founded_by", "John Smith", 1), ("Acme Works", "founded by", "John Smith", 2)])
+    assert [(e.relation, e.sources) for e in kg.edges] == [("founded_by", (1, 2))]
+    assert len(kg.adjacency[canonical_key("Acme Works")]) == 1
+
+
+def test_build_kg_joins_no_triples_through_an_empty_key():
+    # "The" and "?" both normalize to "": as one node, it would link Alpha
+    # Corp to Beta Inc through an edge nobody extracted.
+    kg = build_kg([Triple("Alpha Corp", "owns", "The", 1), Triple("?", "founded", "Beta Inc", 2)], [])
+    assert kg.edges == () and kg.nodes == {} and kg.adjacency == {}
+    assert not find_grounded_path(kg, {"Alpha Corp"}, "Beta Inc").is_valid
+
+
+@pytest.mark.parametrize("pronoun", ["He", "it", "Someone"])
+def test_build_kg_drops_pronoun_endpoints(pronoun):
+    kg = _kg(
+        [("Alpha Corp", "owns", pronoun, 1), (pronoun, "founded", "Beta Inc", 2), ("Alpha Corp", "owns", "Beta Inc", 3)]
+    )
+    assert [e.triple() for e in kg.edges] == [Triple("Alpha Corp", "owns", "Beta Inc", 3)]
+    assert sorted(kg.nodes) == ["alpha corp", "beta inc"]
 
 
 def test_build_kg_alias_merging():
@@ -126,17 +150,17 @@ def test_merged_kg_equals_rebuild_from_merged_alias_groups():
 
 
 def test_overlapping_alias_groups_rejected():
-    g1 = AliasGroup(frozenset({"A", "B"}), "A")
+    g1 = AliasGroup(frozenset({"Ada", "B"}), "Ada")
     g2 = AliasGroup(frozenset({"B", "C"}), "C")
     with pytest.raises(OverlappingAliasGroupsError):
-        _kg([("A", "r", "C", 1)], [g1, g2])
+        _kg([("Ada", "r", "C", 1)], [g1, g2])
 
 
 def test_alias_group_invariants():
     with pytest.raises(ValueError):
-        AliasGroup(frozenset({"A", "B"}), "C")
+        AliasGroup(frozenset({"Ada", "B"}), "C")
     with pytest.raises(ValueError):
-        AliasGroup(frozenset({"A"}), "A")
+        AliasGroup(frozenset({"Ada"}), "Ada")
     with pytest.raises(ValueError):
         Triple("", "r", "t")
 
@@ -164,14 +188,14 @@ def test_sequential_respects_hop_budget():
 
 
 def test_no_entity_match_explains_itself():
-    kg = _kg([("A", "r", "B", 1)])
+    kg = _kg([("Ada", "r", "B", 1)])
     verdict = find_grounded_path(kg, {"unrelated"}, "B")
     assert not verdict.is_valid
     assert "question entity" in verdict.explanation
     with pytest.raises(ValueError):
         find_grounded_path(kg, set(), "B")
     with pytest.raises(ValueError):
-        find_grounded_path(kg, {"A"}, "the")
+        find_grounded_path(kg, {"Ada"}, "the")
 
 
 def test_parallel_ordering_comparison():
@@ -206,22 +230,22 @@ def test_parallel_ordering_unorderable_is_ambiguous():
 
 def test_parallel_boolean_yes_and_no():
     same = _kg(
-        [("A", "nationality", "French", 1), ("B", "country of citizenship", "French", 2)]
+        [("Ada", "nationality", "French", 1), ("B", "country of citizenship", "French", 2)]
     )
-    assert find_grounded_path(same, {"A", "B"}, "yes").is_valid
-    assert not find_grounded_path(same, {"A", "B"}, "no").is_valid
+    assert find_grounded_path(same, {"Ada", "B"}, "yes").is_valid
+    assert not find_grounded_path(same, {"Ada", "B"}, "no").is_valid
 
     diff = _kg(
-        [("A", "nationality", "French", 1), ("B", "nationality", "German", 2)]
+        [("Ada", "nationality", "French", 1), ("B", "nationality", "German", 2)]
     )
-    assert find_grounded_path(diff, {"A", "B"}, "no").is_valid
-    assert not find_grounded_path(diff, {"A", "B"}, "yes").is_valid
+    assert find_grounded_path(diff, {"Ada", "B"}, "no").is_valid
+    assert not find_grounded_path(diff, {"Ada", "B"}, "yes").is_valid
 
 
 def test_boolean_flip_is_wrong_answer():
-    kg = _kg([("A", "nationality", "French", 1), ("B", "nationality", "French", 2)])
-    verdict = find_grounded_path(kg, {"A", "B"}, "no")
-    label = classify_noise(verdict, kg, "Are A and B of the same nationality?", {"A", "B"}, ("no",))
+    kg = _kg([("Ada", "nationality", "French", 1), ("B", "nationality", "French", 2)])
+    verdict = find_grounded_path(kg, {"Ada", "B"}, "no")
+    label = classify_noise(verdict, kg, "Are Ada and B of the same nationality?", {"Ada", "B"}, ("no",))
     assert label is NoiseLabel.WRONG_ANSWER
 
 
@@ -264,29 +288,29 @@ def test_conflation_skips_gold_answer_that_normalizes_empty():
 
 
 def test_missing_evidence_default():
-    kg = _kg([("A", "spouse", "B", 1)])
-    verdict = find_grounded_path(kg, {"A"}, "Stockholm")
-    label = classify_noise(verdict, kg, "Where was A born?", {"A"}, ("Stockholm",))
+    kg = _kg([("Ada", "spouse", "B", 1)])
+    verdict = find_grounded_path(kg, {"Ada"}, "Stockholm")
+    label = classify_noise(verdict, kg, "Where was Ada born?", {"Ada"}, ("Stockholm",))
     assert label is NoiseLabel.MISSING_EVIDENCE
 
 
 def test_grounded_label():
-    kg = _kg([("A", "born in", "Oslo", 1)])
-    verdict = find_grounded_path(kg, {"A"}, "Oslo")
-    assert classify_noise(verdict, kg, "Where was A born?", {"A"}, ("Oslo",)) is NoiseLabel.GROUNDED
+    kg = _kg([("Ada", "born in", "Oslo", 1)])
+    verdict = find_grounded_path(kg, {"Ada"}, "Oslo")
+    assert classify_noise(verdict, kg, "Where was Ada born?", {"Ada"}, ("Oslo",)) is NoiseLabel.GROUNDED
 
 
 def test_verdict_serialization():
-    kg = _kg([("A", "born in", "Oslo", 1)])
-    verdict = find_grounded_path(kg, {"A"}, "Oslo")
+    kg = _kg([("Ada", "born in", "Oslo", 1)])
+    verdict = find_grounded_path(kg, {"Ada"}, "Oslo")
     d = verdict.to_dict()
     assert d["is_valid"] is True
-    assert d["reasoning_path"] == [["A", "born in", "Oslo"]]
+    assert d["reasoning_path"] == [["Ada", "born in", "Oslo"]]
     assert d["pattern"] == "Sequential"
 
 
 def test_kg_jsonl_round_trip_is_stable(tmp_path):
-    kg = _kg([("A", "r", "B", 1), ("B", "s", "C", 2)])
+    kg = _kg([("Ada", "r", "B", 1), ("B", "s", "C", 2)])
     path = tmp_path / "kg.jsonl"
     write_jsonl(path, map(vars, kg.edges))
     rebuilt = build_kg(list(kg.triples), list(kg.resolution))

@@ -287,9 +287,10 @@ def test_build_request_renders_single_system_message():
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     behaviors = []  # status codes (200: a real completion) or bytes sent as a 200 body
+    payloads = []  # every request body received, parsed
 
     def do_POST(self):
-        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self.payloads.append(json.loads(self.rfile.read(int(self.headers.get("Content-Length", 0)))))
         status = self.behaviors.pop(0) if self.behaviors else 200
         if isinstance(status, bytes):
             self._send_body(status)
@@ -333,10 +334,13 @@ def http_server():
 
 def test_openai_backend_retries_429_then_succeeds(http_server):
     _FlakyHandler.behaviors = [429, 429]
+    _FlakyHandler.payloads = []
     sleeps = []
     backend = OpenAIBackend(http_server, max_retries=3, sleep=sleeps.append)
     resp = backend.complete(_req())
     assert resp.text == "pong"
+    assert len(_FlakyHandler.payloads) == 3
+    assert all(p["temperature"] == 0.0 and p["max_tokens"] == 1024 for p in _FlakyHandler.payloads)
     assert resp.usage == Usage(prompt_tokens=10, cached_prompt_tokens=4, completion_tokens=2)
     assert backend.retry_count == 2
     assert sleeps == [0.0, 0.0]  # Retry-After honored
