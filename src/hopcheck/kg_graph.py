@@ -203,8 +203,10 @@ def build_kg(
     Surfaces are keyed through `keys`, the caller's per-instance memo, or
     a fresh one for this build; edges are deduplicated by relation_key. A
     triple with an endpoint that resolves to one of NON_ENTITY_KEYS is
-    dropped. Idempotent: rebuilding from the output triples with the same
-    groups is a fixed point.
+    dropped, and an alias-group member with such a key is ignored, so no
+    group can gather every "The" or "he" into its entity. Idempotent:
+    rebuilding from the output triples with the same groups is a fixed
+    point.
     """
     keys = KeyMemo() if keys is None else keys
     aliases: dict[str, str] = {}
@@ -212,6 +214,8 @@ def build_kg(
         group_key = keys[group.canonical]
         for member in group.members:
             key = keys[member]
+            if key in NON_ENTITY_KEYS:
+                continue
             if key in aliases and keys[aliases[key]] != group_key:
                 raise OverlappingAliasGroupsError(member)
             aliases[key] = group.canonical

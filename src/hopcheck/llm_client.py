@@ -3,7 +3,8 @@
 One backend protocol, three implementations: an OpenAI-compatible HTTP
 client, a fixture-driven scripted backend used by every offline test, and
 a recording proxy that captures live transcripts into scripted fixtures.
-Backends are safe to call from multiple workers; per-request state only.
+Backends are safe to call from multiple workers; besides per-request
+state they keep only per-thread digest checkpoints.
 """
 
 from __future__ import annotations
@@ -154,12 +155,66 @@ class Backend(Protocol):
     def complete(self, req: ChatRequest) -> ChatResponse: ...
 
 
+# Characters per digest checkpoint. Shorter prompts (most verify and
+# synth-score ones) save none, so they pay nothing for the copies.
+_DIGEST_CHUNK = 4096
+
+
+class _PrefixDigest(threading.local):
+    """`ChatRequest.key()` for a stream of requests, resumed from the hash
+    state of the prefix a prompt shares with the previous prompt sent to
+    the same model from the same thread.
+
+    A single-message request's digest input is a header naming the model
+    followed by the escaped prompt, and escaping works character by
+    character, so the prompt can be hashed in pieces. Each thread keeps,
+    per model, the previous prompt's whole `_DIGEST_CHUNK`-character
+    chunks with the hash state after each one; a new prompt resumes from
+    the last chunk it repeats at the same offset. Requests with more than
+    one message are hashed by `key()` itself.
+    """
+
+    def __init__(self) -> None:  # runs once in each thread that uses it
+        # model id -> [("", header state), (chunk 0, state after it), ...]
+        self.trails: dict[str, list] = {}
+
+    def key(self, req: ChatRequest) -> str:
+        if len(req.messages) != 1:
+            return req.key()
+        trail = self.trails.get(req.model_id)
+        if trail is None:  # the one message's role is always "system"
+            h = hashlib.sha256(b'["')
+            h.update(_json_string_body(req.model_id))
+            h.update(b'", ["system", "')
+            trail = self.trails[req.model_id] = [("", h)]
+        text = req.messages[0].content
+        n = 1
+        while n < len(trail) and text.startswith(trail[n][0], (n - 1) * _DIGEST_CHUNK):
+            n += 1
+        del trail[n:]
+        h = trail[-1][1]
+        pos = (n - 1) * _DIGEST_CHUNK
+        # A chunk that fails to encode raises before it is kept, so the
+        # trail always holds a valid prefix.
+        while len(text) - pos >= _DIGEST_CHUNK:
+            chunk = text[pos : pos + _DIGEST_CHUNK]
+            h = h.copy()
+            h.update(_json_string_body(chunk))
+            trail.append((chunk, h))
+            pos += _DIGEST_CHUNK
+        h = h.copy()
+        h.update(_json_string_body(text[pos:]))
+        h.update(b'"]]')
+        return h.hexdigest()
+
+
 class ScriptedBackend:
     """Deterministic fixture-driven backend.
 
     Responses are looked up by request digest first; unmatched requests
-    fall back to an ordered FIFO script. Immutable after load apart from
-    the FIFO cursor and the call counter.
+    fall back to an ordered FIFO script. The fixture is immutable after
+    load; what changes is the FIFO cursor, the call counter and each
+    calling thread's digest checkpoints, none of which changes a reply.
     """
 
     def __init__(
@@ -173,6 +228,7 @@ class ScriptedBackend:
         self._responder = responder
         self._cursor = 0
         self._lock = threading.Lock()
+        self._digest = _PrefixDigest()
         self.calls = 0
 
     @classmethod
@@ -189,7 +245,7 @@ class ScriptedBackend:
         return cls(by_key=by_key, script=script)
 
     def complete(self, req: ChatRequest) -> ChatResponse:
-        key = req.key()
+        key = self._digest.key(req)
         with self._lock:
             self.calls += 1
             resp = self._by_key.get(key)
@@ -214,13 +270,15 @@ class RecordingBackend:
         self._inner = inner
         self._records: list[dict] = []
         self._lock = threading.Lock()
+        self._digest = _PrefixDigest()
 
     def complete(self, req: ChatRequest) -> ChatResponse:
         resp = self._inner.complete(req)
+        key = self._digest.key(req)
         with self._lock:
             self._records.append(
                 {
-                    "key": req.key(),
+                    "key": key,
                     "text": resp.text,
                     "usage": {
                         "prompt_tokens": resp.usage.prompt_tokens,

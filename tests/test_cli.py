@@ -7,7 +7,10 @@ import pytest
 from hopcheck import cli
 from hopcheck.cli import main
 from hopcheck.data_model import Dataset, Passage, QAInstance, canonical_row, write_jsonl
-from hopcheck.llm_client import ChatResponse, ScriptedBackend, TransportError
+from hopcheck.feedback_loop import render_passages
+from hopcheck.llm_client import (
+    _DIGEST_CHUNK, ChatResponse, RecordingBackend, ScriptedBackend, TransportError,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -143,6 +146,67 @@ def test_run_dry_run_makes_no_backend_calls(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert "dry-run" in msg
     assert str(10 * 4 * 2 + 1) in msg  # K(N+1) per role + forced answer
+
+
+def _loop_reply(req):
+    """A reply that depends only on the prompt: steps cite passages until
+    instance i's Final Answer at step 3 + i % 3 (every fourth instance
+    never answers); the first attempt at each even step is a guess the
+    evaluator rejects."""
+    text = req.messages[0].content
+    i = int(re.search(r"landmark (\d+)\?", text).group(1))
+    if "\nStep to evaluate:\n" in text:
+        step = text.rsplit("\nStep to evaluate:\n", 1)[1]
+        error = "Off-topic" if "GUESSWORK" in step else "Correct"
+        return ChatResponse(text=json.dumps({"error_type": error, "diagnosis": "d", "guidance": "g"}))
+    n = 1 + max((int(h) for h in re.findall(r"^Step (\d+):", text, re.MULTILINE)), default=0)
+    if i % 4 != 3 and n == 3 + i % 3:
+        return ChatResponse(text=f"Step {n}: ####ANSWER: City {i} (Final Answer)")
+    if n % 2 == 0 and text.rstrip().endswith("Feedback:\n(none)"):
+        return ChatResponse(text=f"Step {n}: GUESSWORK about landmark {i} (Logical)")
+    return ChatResponse(text=f"Step {n}: According to Passage {n}, landmark {i} is old (Attribution)")
+
+
+def test_run_replays_a_recorded_fixture_the_same_on_one_and_three_workers(tmp_path, monkeypatch):
+    # Prompts span several digest chunks and share most of them, with text
+    # json.dumps escapes, so the keyed lookups resume digests per thread.
+    body = 'Landmark "{i}" in café\tquarter, "C:\\\\old" \x01 😀 ' * 20
+    instances = [
+        QAInstance(
+            f"q{i}", f"Which city hosts landmark {i}?",
+            tuple(Passage(p, f"Title {p}", body.format(i=i) + str(p), p <= 2) for p in range(1, 11)),
+            (f"City {i}",), Dataset.HOTPOTQA, 0,
+        )
+        for i in range(12)
+    ]
+    corpus = write_corpus(tmp_path / "c.jsonl", instances)
+    argv = ["run", "--in", corpus, "--mode", "safe", "--k", "6", "--n", "2"]
+    recorder = RecordingBackend(ScriptedBackend(responder=_loop_reply))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: recorder)
+    assert main(argv + ["--out", str(tmp_path / "recorded")]) == 0
+    monkeypatch.undo()
+    fixture = tmp_path / "fixture.json"
+    recorder.save(fixture)
+    entries = json.loads(fixture.read_text())
+    assert entries and all(entry["key"] for entry in entries)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(fixture)}}))
+
+    outputs = {}
+    for workers in ("recorded", "3", "1"):
+        out = tmp_path / workers
+        if workers != "recorded":
+            assert main(argv + ["--workers", workers, "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[workers] = {
+            name: (out / name).read_bytes() for name in ("runs.jsonl", "ledger.json", "aggregate.json")
+        }
+        runs = [json.loads(line) for line in outputs[workers]["runs.jsonl"].splitlines()]
+        assert [r["aborted"] for r in runs] == [False] * len(instances)
+    assert outputs["3"] == outputs["1"] == outputs["recorded"]
+    answers = [json.loads(line)["answer"] for line in outputs["1"]["runs.jsonl"].splitlines()]
+    assert answers[:4] == ["City 0", "City 1", "City 2", "Step 7: According to Passage 7, landmark 3 is old (Attribution)"]
+    assert json.loads(outputs["1"]["aggregate.json"])["retries"] > 0
+    assert len(render_passages(instances[0])) > 2 * _DIGEST_CHUNK
 
 
 def test_verify_benchmark_over_fixture_pack(tmp_path, capsys):

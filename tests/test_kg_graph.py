@@ -107,6 +107,16 @@ def test_build_kg_drops_pronoun_endpoints(pronoun):
     assert sorted(kg.nodes) == ["alpha corp", "beta inc"]
 
 
+def test_build_kg_ignores_alias_members_that_name_no_entity():
+    # A group holding "The" and "he" must not turn every such endpoint into
+    # its entity, which would link Alpha Corp to Gamma Ltd.
+    group = AliasGroup(frozenset({"The", "he", "Alpha Corp"}), "Alpha Corp")
+    kg = build_kg([Triple("The", "owns", "Beta Inc", 1), Triple("he", "founded", "Gamma Ltd", 2)], [group])
+    assert kg.edges == () and kg.nodes == {}
+    assert set(kg.aliases) == {canonical_key("Alpha Corp")}
+    assert not find_grounded_path(kg, {"Alpha Corp"}, "Gamma Ltd").is_valid
+
+
 def test_build_kg_alias_merging():
     group = AliasGroup(frozenset({"Paul Mercurio", "Paul Joseph"}), "Paul Mercurio")
     kg = _kg(

@@ -10,6 +10,7 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
+from hopcheck import llm_client
 from hopcheck.llm_client import (
     PROMPT_NAMES,
     ChatRequest,
@@ -108,6 +109,109 @@ def test_chat_request_key_rejects_lone_surrogate():
         _req("a\ud800b").key()
     with pytest.raises(UnicodeEncodeError):
         ChatRequest(messages=(Message("system", "x"),), model_id="\udfff").key()
+
+
+_CHUNK = llm_client._DIGEST_CHUNK
+# Put across chunk boundaries: escaped ASCII, a rare control that takes the
+# json.dumps path, non-ASCII and astral characters.
+_BOUNDARY_TEXT = ["\t", "\x01", '"', "\\", "\n", "\r\n", '\\"', "\n\t", "é", "😀", "😀😀", "\u2028", "x"]
+_DIGEST_MODELS = ["generator", "evaluator", 'm-"é😀\\']
+_BASE_PROMPT = "".join(f"word{i % 97} " for i in range(4 * _CHUNK // 7))[: 3 * _CHUNK + 100]
+
+_digest_op = st.tuples(
+    st.sampled_from(["single"] * 6 + ["multi", "surrogate"]),
+    st.sampled_from(_DIGEST_MODELS),
+    # Where the model's previous prompt is cut: one character before, at or
+    # after a chunk boundary, or anywhere.
+    st.builds(lambda k, d: k * _CHUNK + d, st.integers(0, 3), st.integers(-1, 1))
+    | st.integers(0, 4 * _CHUNK),
+    st.sampled_from([0, 1, 9, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]),
+    # (boundary, offset from it, text written over the prompt there)
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(-2, 1), st.sampled_from(_BOUNDARY_TEXT)),
+        max_size=3,
+    ),
+    _KEY_TEXT,
+)
+
+
+def _overwrite(text, pos, piece):
+    return text[:pos] + piece + text[pos + len(piece) :] if 0 <= pos <= len(text) else text
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_digest_op, min_size=1, max_size=12))
+def test_prefix_digest_equals_chat_request_key(ops):
+    digest = llm_client._PrefixDigest()
+    previous = {}
+    for kind, model, cut, grow, marks, tail in ops:
+        base = previous.get(model, _BASE_PROMPT)
+        text = base[:cut] + _BASE_PROMPT[cut : cut + grow] + tail
+        for boundary, offset, piece in marks:
+            text = _overwrite(text, boundary * _CHUNK + offset, piece)
+        if kind == "surrogate":
+            at = min(cut, len(text))
+            req = ChatRequest(messages=(Message("system", text[:at] + "\ud800" + text[at:]),), model_id=model)
+            with pytest.raises(UnicodeEncodeError):
+                req.key()
+            with pytest.raises(UnicodeEncodeError):
+                digest.key(req)
+            continue
+        messages = (Message("system", text),)
+        if kind == "multi":
+            messages += (Message("user", tail),)
+        req = ChatRequest(messages=messages, model_id=model)
+        assert digest.key(req) == req.key()
+        if kind == "single":
+            previous[model] = text
+
+
+def test_prefix_digest_hashes_only_what_follows_the_shared_chunks(monkeypatch):
+    text = "Say \"hi\" to C:\\\\tmp\nthen\ttab\x01 café 😀" * 300
+    digest = llm_client._PrefixDigest()
+    digest.key(ChatRequest(messages=(Message("system", text[: 2 * _CHUNK + 5] + "!"),), model_id="m"))
+    hashed = []
+    body = llm_client._json_string_body
+    monkeypatch.setattr(llm_client, "_json_string_body", lambda s: hashed.append(s) or body(s))
+    req = ChatRequest(messages=(Message("system", text),), model_id="m")
+    key = digest.key(req)
+    # Two chunks resumed; the rest hashed a chunk at a time.
+    assert "".join(hashed) == text[2 * _CHUNK :]
+    assert [len(piece) for piece in hashed[:-1]] == [_CHUNK] * (len(text) // _CHUNK - 2)
+    monkeypatch.undo()
+    assert key == req.key() == _reference_key(req)
+
+
+def test_prefix_digest_keeps_each_calling_thread_apart(monkeypatch):
+    # Prompts to one model that differ only in the second chunk. Another
+    # thread sends B's prompt while this one is between chunks of A's, so a
+    # trail shared between threads would pair B's second chunk with A's
+    # state after the third, and a later prompt like B's would resume there.
+    digest = llm_client._PrefixDigest()
+    text_a = _BASE_PROMPT[: 3 * _CHUNK + 5]
+    text_b = _overwrite(text_a, _CHUNK + 10, "thread B")
+    req = lambda text: ChatRequest(messages=(Message("system", text),), model_id="m")
+    body = llm_client._json_string_body
+    keys_b = []
+
+    def run_b(texts):
+        thread = threading.Thread(target=lambda: keys_b.extend(digest.key(req(t)) for t in texts))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+
+    def body_then_b(s):
+        if s == text_a[2 * _CHUNK : 3 * _CHUNK]:
+            run_b([text_b[: 2 * _CHUNK + 5]])
+        return body(s)
+
+    digest.key(req(text_a[: _CHUNK + 5]))
+    monkeypatch.setattr(llm_client, "_json_string_body", body_then_b)
+    key_a = digest.key(req(text_a))
+    monkeypatch.undo()
+    run_b([text_b])
+    assert key_a == req(text_a).key()
+    assert keys_b == [req(text_b[: 2 * _CHUNK + 5]).key(), req(text_b).key()]
 
 
 def test_usage_invariants():
