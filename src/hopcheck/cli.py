@@ -35,10 +35,18 @@ def _load_config(path: str | None) -> dict:
 
 
 def _build_backend(spec: dict | None):
-    spec = spec or {}
+    """The backend a `backend` or `evaluator_backend` config spec names.
+    Commands build every backend before starting worker threads, so an
+    `openai` backend imports its HTTP stack on the main thread."""
+    if spec is None:
+        spec = {}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"backend spec {spec!r} is not a JSON object")
     kind = spec.get("type", "scripted")
     if kind == "scripted":
         fixture = spec.get("fixture")
+        if fixture is not None and not isinstance(fixture, str):
+            raise ConfigError(f"backend 'fixture' {fixture!r} is not a path string")
         if fixture:
             return ScriptedBackend.from_fixture(fixture)
         return ScriptedBackend()
@@ -47,8 +55,10 @@ def _build_backend(spec: dict | None):
             base_url = spec["base_url"]
         except KeyError as exc:
             raise ConfigError("backend config missing key 'base_url'") from exc
-        api_key = os.environ.get(spec.get("api_key_env", "HOPCHECK_API_KEY"), "")
-        return OpenAIBackend(base_url=base_url, api_key=api_key)
+        key_env = spec.get("api_key_env", "HOPCHECK_API_KEY")
+        if not isinstance(base_url, str) or not isinstance(key_env, str):
+            raise ConfigError("backend 'base_url' and 'api_key_env' must be strings")
+        return OpenAIBackend(base_url=base_url, api_key=os.environ.get(key_env, ""))
     raise ConfigError(f"unknown backend type {kind!r}")
 
 

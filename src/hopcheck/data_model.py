@@ -29,10 +29,11 @@ class Dataset(str, Enum):
 
 
 class MalformedRecordError(ValueError):
-    """Raised when a source record is missing a required field."""
+    """Raised when a source record is missing a required field or holds a
+    value an instance cannot take; names the file and the record."""
 
-    def __init__(self, record_index: int, message: str):
-        super().__init__(f"record {record_index}: {message}")
+    def __init__(self, path: str | Path, record_index: int, message: str):
+        super().__init__(f"{path}: record {record_index}: {message}")
         self.record_index = record_index
 
 
@@ -164,7 +165,7 @@ def _load_hotpot_style(path: Path, dataset: Dataset, seed: int) -> list[QAInstan
             context = rec["context"]
             supporting = {title for title, _ in rec["supporting_facts"]}
         except KeyError as exc:
-            raise MalformedRecordError(i, f"missing field {exc}") from exc
+            raise MalformedRecordError(path, i, f"missing field {exc}") from exc
         raw = [
             (title, " ".join(sentences).strip(), title in supporting)
             for title, sentences in context
@@ -183,7 +184,7 @@ def _load_musique(path: Path, seed: int) -> list[QAInstance]:
             answer = rec["answer"]
             paragraphs = rec["paragraphs"]
         except KeyError as exc:
-            raise MalformedRecordError(i, f"missing field {exc}") from exc
+            raise MalformedRecordError(path, i, f"missing field {exc}") from exc
         golds = [answer] + list(rec.get("answer_aliases", []))
         raw = [
             (p["title"], p["paragraph_text"], bool(p.get("is_supporting")))
@@ -244,7 +245,17 @@ def from_canonical_row(rec: dict) -> QAInstance:
 
 
 def load_canonical(path: str | Path) -> list[QAInstance]:
-    return [from_canonical_row(rec) for rec in read_jsonl(path)]
+    """The instances of a canonical JSONL file. A row that is not a valid
+    instance raises MalformedRecordError naming `path` and the row."""
+    instances = []
+    for i, rec in enumerate(read_jsonl(path)):
+        try:
+            instances.append(from_canonical_row(rec))
+        except KeyError as exc:
+            raise MalformedRecordError(path, i, f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecordError(path, i, str(exc)) from exc
+    return instances
 
 
 def read_json(path: str | Path) -> Any:

@@ -18,11 +18,12 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from .data_model import read_json, write_json
+
+if TYPE_CHECKING:
+    import requests
 
 PROMPT_NAMES = (
     "step_generation",
@@ -233,13 +234,27 @@ class ScriptedBackend:
 
     @classmethod
     def from_fixture(cls, path: str | Path) -> "ScriptedBackend":
+        """The backend replaying the fixture file at `path`. A file that is
+        not a list of entries raises ValueError naming `path`, and a
+        malformed entry one naming `path` and the entry's index."""
+        entries = read_json(path)
+        if not isinstance(entries, list):
+            raise ValueError(f"{path}: a fixture is a JSON list of entries")
         by_key = {}
         script = []
-        for entry in read_json(path):
-            usage = Usage(**entry.get("usage", {}))
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or not isinstance(entry.get("text"), str):
+                raise ValueError(f"{path}: entry {i}: not an object with a string 'text'")
+            key = entry.get("key")
+            if key is not None and not isinstance(key, str):
+                raise ValueError(f"{path}: entry {i}: 'key' is not a string")
+            try:
+                usage = Usage(**entry.get("usage", {}))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: entry {i}: bad 'usage': {exc}") from exc
             resp = ChatResponse(text=entry["text"], usage=usage)
-            if entry.get("key"):
-                by_key[entry["key"]] = resp
+            if key:
+                by_key[key] = resp
             else:
                 script.append(resp)
         return cls(by_key=by_key, script=script)
@@ -298,6 +313,9 @@ class OpenAIBackend:
 
     Each calling thread gets its own requests.Session, since a session is
     not safe to share between threads; an injected session is used as is.
+    `requests` is imported by the constructor, not by this module, so
+    commands that never build this backend start without the HTTP stack;
+    build it before starting worker threads.
     """
 
     def __init__(
@@ -311,6 +329,8 @@ class OpenAIBackend:
         sleep: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ):
+        import requests  # noqa: F401  (loads the HTTP stack on the constructing thread)
+
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.timeout = timeout
@@ -327,10 +347,14 @@ class OpenAIBackend:
         if self._session is not None:
             return self._session
         if not hasattr(self._local, "session"):
+            import requests  # already loaded by __init__
+
             self._local.session = requests.Session()
         return self._local.session
 
     def complete(self, req: ChatRequest) -> ChatResponse:
+        import requests  # already loaded by __init__
+
         payload = {
             "model": req.model_id,
             "messages": [{"role": m.role, "content": m.content} for m in req.messages],

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,6 +89,51 @@ def test_truncated_json_input_error_names_its_path(tmp_path, capsys, which):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(truncated) in err
+
+
+@pytest.mark.parametrize("content, entry", [
+    ("{}", None),
+    ('{"a": 1}', None),
+    ("[1]", 0),
+    ('[{"text": "ok"}, {"usage": {}}]', 1),
+    ('[{"text": "ok"}, {"text": 5}]', 1),
+    ('[{"text": "ok", "key": ["k"]}]', 0),
+    ('[{"text": "ok"}, {"text": "ok", "usage": {"prompt_tok": 1}}]', 1),
+    ('[{"text": "ok", "usage": {"prompt_tokens": -1}}]', 0),
+], ids=["empty-object", "object", "number-entry", "no-text", "number-text", "list-key",
+        "unknown-usage-key", "negative-usage"])
+def test_malformed_fixture_error_names_its_path_and_entry(tmp_path, capsys, content, entry):
+    fixture = tmp_path / "fx.json"
+    fixture.write_text(content)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(fixture)}}))
+    out = tmp_path / "out"
+    assert main(["verify-benchmark", "--in", write_corpus(tmp_path / "c.jsonl", [make_instance()]),
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fixture}: ") and err.count("\n") == 1
+    if entry is not None:
+        assert f": entry {entry}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["backend", "evaluator_backend"])
+@pytest.mark.parametrize("spec, problem", [
+    ("scripted", "backend spec 'scripted' is not a JSON object"),
+    ({"type": "scripted", "fixture": 0}, "backend 'fixture' 0 is not a path string"),
+    ({"type": "scripted", "fixture": 7}, "backend 'fixture' 7 is not a path string"),
+    ({"type": "openai", "base_url": 5}, "backend 'base_url' and 'api_key_env' must be strings"),
+    ({"type": "openai", "base_url": "http://localhost:9", "api_key_env": 1},
+     "backend 'base_url' and 'api_key_env' must be strings"),
+], ids=["string", "fixture-0", "fixture-7", "base-url-number", "key-env-number"])
+def test_bad_backend_spec_is_a_config_error(tmp_path, capsys, key, spec, problem):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: spec}))
+    out = tmp_path / "out"
+    assert main(["run", "--in", write_corpus(tmp_path / "c.jsonl", [make_instance()]),
+                 "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
 
 
 def test_ingest_idempotent_and_echoes_config(tmp_path):
@@ -288,6 +336,47 @@ def test_verify_benchmark_rejects_ids_that_are_not_file_names(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: instance id {problem}\n"
     assert backend.calls == 0
     assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
+
+
+_HTTP_MODULES_SCRIPT = """
+import json, sys
+from hopcheck import cli
+def loaded():
+    return sorted(m for m in ("requests", "urllib3") if m in sys.modules)
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+scripted = loaded()
+cli._build_backend({"type": "openai", "base_url": "http://localhost:9"})
+print(json.dumps({"codes": codes, "scripted": scripted, "openai": loaded()}))
+"""
+
+
+def test_scripted_commands_never_load_the_http_stack(tmp_path):
+    # A fresh interpreter: this test process may already hold requests.
+    from fixture_utils import build_instance, load_noise_fixtures
+
+    records = load_noise_fixtures()["grounded"] + load_noise_fixtures()["noise"]
+    corpus = write_corpus(tmp_path / "c.jsonl", [build_instance(r) for r in records])
+    texts = []
+    for r in records:
+        texts += [*r["extraction"], *["[]"] * len(r["gold_passages"]), r["resolution"]]
+    argvs = []
+    for command, replies, extra in [
+        ("verify-benchmark", texts, []),
+        ("run", ["Step 1: ####ANSWER: Paris (Final Answer)"] * len(records), ["--mode", "none"]),
+    ]:
+        cfg = tmp_path / f"{command}.json"
+        fixture = write_fixture(tmp_path / f"{command}-fx.json", replies)
+        cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+        argvs.append([command, "--in", corpus, *extra, "--config", str(cfg),
+                      "--out", str(tmp_path / command)])
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _HTTP_MODULES_SCRIPT, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0, 0], "scripted": [], "openai": ["requests", "urllib3"]}
 
 
 def _synthesis_teacher(models):

@@ -79,6 +79,24 @@ def test_malformed_record_names_the_index(tmp_path):
     assert exc.value.record_index == 0
 
 
+@pytest.mark.parametrize("spoil, problem", [
+    (lambda row: row.pop("id"), "missing field 'id'"),
+    (lambda row: row["passages"][4].update(body=""), "passage body must be non-empty"),
+], ids=["missing-id", "empty-body"])
+def test_malformed_canonical_row_names_the_file_and_row(tmp_path, spoil, problem):
+    src = tmp_path / "sample.json"
+    src.write_text(json.dumps([_hotpot_record()]))
+    (inst,) = load_instances(src, Dataset.TWOWIKI, seed=3)
+    bad = canonical_row(inst)
+    spoil(bad)
+    path = tmp_path / "canon.jsonl"
+    write_jsonl(path, [canonical_row(inst), bad])
+    with pytest.raises(MalformedRecordError) as exc:
+        load_instances(path, Dataset.CANONICAL, seed=0)
+    assert exc.value.record_index == 1
+    assert str(exc.value) == f"{path}: record 1: {problem}"
+
+
 def test_load_musique_jsonl(tmp_path):
     rec = {
         "id": "m1",
