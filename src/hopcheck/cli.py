@@ -9,14 +9,13 @@ from pathlib import Path
 
 from . import __version__
 from .data_model import (
-    Dataset, JudgeVerdict, canonical_row, load_canonical, load_instances, read_json, read_jsonl,
-    write_json, write_jsonl,
+    Dataset, MalformedRecordError, canonical_row, load_canonical, load_instances, read_json,
+    read_jsonl, write_json, write_jsonl,
 )
 from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan
-from .extraction_pipeline import (
-    MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, corpus_stats, verify_instance,
-)
+from .extraction_pipeline import MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, verify_instance
 from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table
+from .kg_graph import NoiseLabel
 from .llm_client import OpenAIBackend, ScriptedBackend, TransportError
 from .metrics import score_answer
 
@@ -80,6 +79,21 @@ def _merged(config: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> di
     return resolved
 
 
+def _noise_stats(rows: list[dict], source: str | Path, out_dir: Path | None) -> NoiseStats:
+    """The noise counts of report rows, written to out_dir/noise_stats.json
+    unless out_dir is None. A label that is not null or a NoiseLabel
+    value raises MalformedRecordError naming `source` and the row."""
+    labels, known = [row.get("noise_label") for row in rows], (None, *NoiseLabel)
+    for i, label in enumerate(labels):
+        if label not in known:
+            raise MalformedRecordError(source, i, f"noise_label {label!r} is not a noise label")
+    stats = NoiseStats.from_labels(labels)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(out_dir / "noise_stats.json", stats.to_dict())
+    return stats
+
+
 def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("dataset", "seed"))
     seed = int(resolved.get("seed", 0))
@@ -128,8 +142,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     rows = [report.to_dict() for report in reports]
     write_jsonl(out_dir / "reports.jsonl", rows)
     write_jsonl(out_dir / "disagreements.jsonl", [row for row in rows if row["disagreement"]])
-    stats = corpus_stats(reports)
-    write_json(out_dir / "noise_stats.json", stats.to_dict())
+    stats = _noise_stats(rows, out_dir / "reports.jsonl", out_dir)
     print(f"verified {stats.total} instances; noise {stats.percent:.2f}%")
     return 0
 
@@ -208,44 +221,40 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
     backend = _build_backend(resolved.get("backend")) if use_judge else None
     out_dir = Path(args.out)
     _echo_config(out_dir, "score", resolved)
-    rows = []
-    table_rows = []
-    for run in runs:
-        inst = instances.get(run["instance_id"])
+    scored = []
+    for i, run in enumerate(runs):
+        iid, pred = run.get("instance_id"), run.get("answer")
+        inst = instances.get(iid) if isinstance(iid, str) else None
         if inst is None:
-            raise ConfigError(f"run references unknown instance {run['instance_id']!r}")
-        pred = run.get("answer") or ""
+            raise MalformedRecordError(args.runs, i, f"instance_id {iid!r} names no instance")
+        if pred is not None and not isinstance(pred, str):
+            raise MalformedRecordError(args.runs, i, f"answer {pred!r} is not a string or null")
+        pred = pred or ""
         verdict = score_answer(
             pred, inst.gold_answers, backend=backend, question=inst.question,
             model_id=resolved.get("model", "default"),
         )
-        rows.append({
-            "instance_id": inst.id,
-            "dataset": inst.dataset.value,
-            "pred": pred,
-            "em": verdict.em,
-            "f1": round(verdict.f1, 6),
-            "judge": verdict.judge.value,
-            "judge_reasoning": verdict.judge_reasoning,
-        })
-        table_row = {"dataset": inst.dataset.value, "em": float(verdict.em), "f1": verdict.f1}
-        if verdict.judge is not JudgeVerdict.UNJUDGED:
-            table_row["acc"] = float(verdict.judge is JudgeVerdict.CORRECT)
-        table_rows.append(table_row)
-    write_jsonl(out_dir / "scores.jsonl", rows)
-    write_json(out_dir / "aggregate.json", {"table": score_table(table_rows), "rows": len(rows)})
-    print(f"scored {len(rows)} runs")
+        scored.append((inst, pred, verdict))
+    write_jsonl(out_dir / "scores.jsonl", ({
+        "instance_id": inst.id,
+        "dataset": inst.dataset.value,
+        "pred": pred,
+        "em": verdict.em,
+        "f1": round(verdict.f1, 6),
+        "judge": verdict.judge.value,
+        "judge_reasoning": verdict.judge_reasoning,
+    } for inst, pred, verdict in scored))
+    table = score_table([(inst.dataset.value, verdict) for inst, _, verdict in scored])
+    write_json(out_dir / "aggregate.json", {"table": table, "rows": len(scored)})
+    print(f"scored {len(scored)} runs")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     del config
-    stats = NoiseStats.from_labels(row.get("noise_label") for row in read_jsonl(args.infile))
+    out_dir = Path(args.out) if args.out else None
+    stats = _noise_stats(read_jsonl(args.infile), args.infile, out_dir)
     print(f"{stats.percent:.2f}%")
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "noise_stats.json", stats.to_dict())
     return 0
 
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 
 class Dataset(str, Enum):
@@ -154,45 +154,57 @@ def _finalize(
     )
 
 
-def _load_hotpot_style(path: Path, dataset: Dataset, seed: int) -> list[QAInstance]:
-    records = read_json(path)
+def _build_each(
+    path: str | Path, records: Iterable[Any], build: Callable[[Any], QAInstance]
+) -> list[QAInstance]:
+    """`build` over each record. A record it cannot take raises
+    MalformedRecordError naming `path` and the record; a
+    TooManyGoldPassagesError passes through as it is."""
     instances = []
     for i, rec in enumerate(records):
         try:
-            rid = rec.get("_id") or rec["id"]
-            question = rec["question"]
-            answer = rec["answer"]
-            context = rec["context"]
-            supporting = {title for title, _ in rec["supporting_facts"]}
+            instances.append(build(rec))
+        except TooManyGoldPassagesError:
+            raise
         except KeyError as exc:
             raise MalformedRecordError(path, i, f"missing field {exc}") from exc
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise MalformedRecordError(path, i, str(exc)) from exc
+    return instances
+
+
+def _load_hotpot_style(path: Path, dataset: Dataset, seed: int) -> list[QAInstance]:
+    records = read_json(path)
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: top-level value is not a JSON list")
+
+    def build(rec: dict) -> QAInstance:
+        rid = rec.get("_id") or rec["id"]
+        question, answer, context = rec["question"], rec["answer"], rec["context"]
+        supporting = {title for title, _ in rec["supporting_facts"]}
         raw = [
             (title, " ".join(sentences).strip(), title in supporting)
             for title, sentences in context
             if sentences
         ]
-        instances.append(_finalize(rid, question, raw, [answer], dataset, seed))
-    return instances
+        return _finalize(rid, question, raw, [answer], dataset, seed)
+
+    return _build_each(path, records, build)
 
 
 def _load_musique(path: Path, seed: int) -> list[QAInstance]:
-    instances = []
-    for i, rec in enumerate(read_jsonl(path)):
-        try:
-            rid = rec["id"]
-            question = rec["question"]
-            answer = rec["answer"]
-            paragraphs = rec["paragraphs"]
-        except KeyError as exc:
-            raise MalformedRecordError(path, i, f"missing field {exc}") from exc
+    def build(rec: dict) -> QAInstance:
+        rid, question, answer = rec["id"], rec["question"], rec["answer"]
+        paragraphs = rec["paragraphs"]
         golds = [answer] + list(rec.get("answer_aliases", []))
         raw = [
             (p["title"], p["paragraph_text"], bool(p.get("is_supporting")))
             for p in paragraphs
             if p.get("paragraph_text")
         ]
-        instances.append(_finalize(rid, question, raw, golds, Dataset.MUSIQUE, seed))
-    return instances
+        return _finalize(rid, question, raw, golds, Dataset.MUSIQUE, seed)
+
+    return _build_each(path, read_jsonl(path), build)
 
 
 def load_instances(path: str | Path, dataset: Dataset, seed: int) -> list[QAInstance]:
@@ -247,15 +259,7 @@ def from_canonical_row(rec: dict) -> QAInstance:
 def load_canonical(path: str | Path) -> list[QAInstance]:
     """The instances of a canonical JSONL file. A row that is not a valid
     instance raises MalformedRecordError naming `path` and the row."""
-    instances = []
-    for i, rec in enumerate(read_jsonl(path)):
-        try:
-            instances.append(from_canonical_row(rec))
-        except KeyError as exc:
-            raise MalformedRecordError(path, i, f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecordError(path, i, str(exc)) from exc
-    return instances
+    return _build_each(path, read_jsonl(path), from_canonical_row)
 
 
 def read_json(path: str | Path) -> Any:

@@ -360,9 +360,9 @@ def import_refined(
         raise DatagenError(f"refined record invalid: {exc}") from exc
 
 
-# Procedural-heavy default shape for the injected-error mix. Wrong
-# Conclusion is excluded by default because ideal trajectories end with
-# a Logical comparison step, not an answer submission.
+# Procedural-heavy shape of the injected-error mix. Wrong Conclusion is
+# excluded because ideal trajectories end with a Logical comparison
+# step, not an answer submission.
 DEFAULT_ERROR_QUOTAS: tuple[tuple[ErrorType, float], ...] = (
     (ErrorType.REDUNDANCY, 0.18),
     (ErrorType.INEFFICIENCY, 0.16),
@@ -380,15 +380,12 @@ DEFAULT_ERROR_QUOTAS: tuple[tuple[ErrorType, float], ...] = (
 class DatasetConfig:
     total: int
     ideal_fraction: float = 0.34  # ideal-vs-injected mix of the synthesized split
-    error_quotas: tuple[tuple[ErrorType, float], ...] = DEFAULT_ERROR_QUOTAS
 
     def __post_init__(self) -> None:
         if self.total < 1:
             raise ValueError("total must be >= 1")
         if not 0.0 <= self.ideal_fraction <= 1.0:
             raise ValueError("ideal_fraction must be in [0, 1]")
-        if any(w < 0 for _, w in self.error_quotas) or sum(w for _, w in self.error_quotas) <= 0:
-            raise ValueError("error quotas must be non-negative with a positive sum")
 
 
 MAX_POSITION = 5  # error positions cycle through 1..MAX_POSITION
@@ -421,8 +418,8 @@ def build_dataset(
     if not pool:
         raise QuotaInfeasibleError("empty verified-instance pool")
     n_ideal = round(config.total * config.ideal_fraction)
-    counts = _largest_remainder([w for _, w in config.error_quotas], config.total - n_ideal)
-    quotas = [(error, needed) for (error, _), needed in zip(config.error_quotas, counts) if needed]
+    counts = _largest_remainder([w for _, w in DEFAULT_ERROR_QUOTAS], config.total - n_ideal)
+    quotas = [(error, needed) for (error, _), needed in zip(DEFAULT_ERROR_QUOTAS, counts) if needed]
     # Once every quota error fits some step of the pool, each pass over the
     # pool finds it a target, so the injection loop below always ends.
     kinds = {step.kind for _, traj in pool for step in traj.steps}

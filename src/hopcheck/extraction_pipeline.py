@@ -426,7 +426,3 @@ class NoiseStats:
             "unverified": self.unverified,
         }
 
-
-def corpus_stats(reports: list[InstanceReport]) -> NoiseStats:
-    """Corpus noise counts; invariant under report order."""
-    return NoiseStats.from_labels(r.noise_label and r.noise_label.value for r in reports)

@@ -14,7 +14,7 @@ import concurrent.futures
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .data_model import QAInstance
+from .data_model import AnswerVerdict, JudgeVerdict, QAInstance
 from .llm_client import (
     Backend,
     ParseFailure,
@@ -209,7 +209,6 @@ def update_ledger(
 
 @dataclass(frozen=True)
 class RunRecord:
-    instance_id: str
     config: LoopConfig
     trajectory: Trajectory
     answer: str | None  # present iff Terminated or AnswerForced occurred
@@ -221,6 +220,10 @@ class RunRecord:
         closed = any(e.kind in ("terminated", "answer_forced") for e in self.events)
         if (self.answer is not None) != closed:
             raise ValueError("answer present iff the run terminated or was forced")
+
+    @property
+    def instance_id(self) -> str:
+        return self.trajectory.instance_id
 
     @property
     def generator_calls(self) -> int:
@@ -527,7 +530,6 @@ def run_instance(
         answer = None
 
     return RunRecord(
-        instance_id=instance.id,
         config=cfg,
         trajectory=traj,
         answer=answer,
@@ -542,47 +544,42 @@ def score_delta(baseline_mean: float, treatment_mean: float) -> float:
     return round(treatment_mean - baseline_mean, 1)
 
 
-def score_table(rows: list[dict], baseline_mean: float | None = None) -> dict:
-    """Per-dataset score table over rows {"dataset", "em", "f1"[, "acc"]}.
+def score_table(
+    pairs: list[tuple[str, AnswerVerdict]], baseline_mean: float | None = None
+) -> dict:
+    """Per-dataset score table over (dataset, verdict) pairs.
 
-    Each metric is the mean over the dataset's rows that carry it; rows
-    without "acc" count as unjudged. When every row is judged, an
-    "average" row holds the mean acc over all rows and, given a baseline
-    mean in points, the delta against it.
+    em and f1 are means over the dataset's pairs, acc the share judged
+    Correct among its judged pairs; Unjudged pairs count as unjudged.
+    When every pair is judged, an "average" row holds the mean acc over
+    all pairs and, given a baseline mean in points, the delta against it.
     """
     table: dict = {}
-    for name in sorted({r["dataset"] for r in rows}):
-        group = [r for r in rows if r["dataset"] == name]
-        table[name] = {"unjudged": sum(1 for r in group if "acc" not in r)}
-        for metric in ("em", "f1", "acc"):
-            values = [r[metric] for r in group if metric in r]
-            if values:
-                table[name][metric] = round(sum(values) / len(values), 4)
-    if rows and all("acc" in r for r in rows):
-        mean_acc = sum(r["acc"] for r in rows) / len(rows)
+    for name in sorted({dataset for dataset, _ in pairs}):
+        group = [v for dataset, v in pairs if dataset == name]
+        judged = [v.judge for v in group if v.judge is not JudgeVerdict.UNJUDGED]
+        table[name] = {
+            "unjudged": len(group) - len(judged),
+            "em": round(sum(v.em for v in group) / len(group), 4),
+            "f1": round(sum(v.f1 for v in group) / len(group), 4),
+        }
+        if judged:
+            table[name]["acc"] = round(judged.count(JudgeVerdict.CORRECT) / len(judged), 4)
+    if pairs and not any(row["unjudged"] for row in table.values()):
+        mean_acc = sum(v.judge is JudgeVerdict.CORRECT for _, v in pairs) / len(pairs)
         table["average"] = {"acc": round(mean_acc, 4)}
         if baseline_mean is not None:
             table["average"]["delta_vs_baseline"] = score_delta(baseline_mean, 100.0 * mean_acc)
     return table
 
 
-def aggregate_runs(
-    records: list[RunRecord],
-    scores: dict[str, dict[str, float]] | None = None,
-    datasets: dict[str, str] | None = None,
-    baseline_mean: float | None = None,
-) -> dict:
-    """Order-independent corpus aggregate.
-
-    scores maps instance id -> {"em": .., "f1": .., "acc": ..} (from the
-    scoring module); datasets maps instance id -> dataset name. With
-    scores, "table" is the score_table of the scored records.
-    """
-    records = sorted(records, key=lambda r: r.instance_id)
+def aggregate_runs(records: list[RunRecord]) -> dict:
+    """Run counts and the merged ledger; every sum is over integers, so
+    the aggregate does not depend on record order."""
     ledger = CacheLedger()
     for rec in records:
         ledger = ledger.merge(rec.ledger)
-    out: dict = {
+    return {
         "runs": len(records),
         "aborted": sum(1 for r in records if r.aborted),
         "retries": sum(r.retries for r in records),
@@ -590,14 +587,6 @@ def aggregate_runs(
         "evaluator_calls": sum(r.evaluator_calls for r in records),
         "ledger": ledger.to_dict(),
     }
-    if scores:
-        rows = [
-            {**scores[r.instance_id], "dataset": (datasets or {}).get(r.instance_id, "all")}
-            for r in records
-            if r.instance_id in scores
-        ]
-        out["table"] = score_table(rows, baseline_mean)
-    return out
 
 
 def run_corpus(

@@ -9,20 +9,19 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
 from hopcheck.cli import main
 from hopcheck.datagen import DatasetConfig, build_dataset
-from hopcheck.extraction_pipeline import NoiseStats, corpus_stats, verify_instance
+from hopcheck.data_model import AnswerVerdict, JudgeVerdict
+from hopcheck.extraction_pipeline import NoiseStats, verify_instance
 from hopcheck.feedback_loop import (
     CacheLedger,
-    FeedbackMode,
     LoopConfig,
     RunRecord,
-    aggregate_runs,
     run_instance,
+    score_table,
     update_ledger,
 )
 from hopcheck.kg_graph import find_grounded_path
@@ -185,9 +184,10 @@ def test_noise_statistics_reproduction():
             build_verify_backend(fixtures["noise"][0]),
             build_instance(fixtures["noise"][0]),
         )
+        noisy_row, grounded_row = noisy.to_dict(), grounded.to_dict()
         for total, bad, percent in published:
-            reports = [noisy] * bad + [grounded] * (total - bad)
-            stats = corpus_stats(reports)
+            rows = [noisy_row] * bad + [grounded_row] * (total - bad)
+            stats = NoiseStats.from_labels(row["noise_label"] for row in rows)
             assert stats.total == total and stats.noisy == bad
             assert stats.percent == percent, (total, bad)
             assert NoiseStats(total=total, noisy=bad).percent == percent
@@ -195,17 +195,12 @@ def test_noise_statistics_reproduction():
 
 def test_aggregate_delta():
     with criterion("aggregate accuracy delta between run sets is +8.4 points exactly"):
-        cfg = LoopConfig(max_steps=1, max_retries=0, mode=FeedbackMode.NO_FEEDBACK)
-        proto = run_instance(
-            cfg, make_instance("proto"),
-            ScriptedBackend(responder=lambda req: ChatResponse(
-                text="Step 1: ####ANSWER: x (Final Answer)")),
-        )
-        records = [replace(proto, instance_id=f"r{i}") for i in range(1000)]
-        scores = {f"r{i}": {"acc": 1.0 if i < 851 else 0.0} for i in range(1000)}
-        agg = aggregate_runs(records, scores, baseline_mean=76.7)
-        assert agg["table"]["average"]["acc"] == 0.851
-        assert agg["table"]["average"]["delta_vs_baseline"] == 8.4
+        correct = AnswerVerdict(em=1, f1=1.0, judge=JudgeVerdict.CORRECT)
+        wrong = AnswerVerdict(em=0, f1=0.0, judge=JudgeVerdict.WRONG)
+        pairs = [("hotpotqa", correct)] * 851 + [("hotpotqa", wrong)] * 149
+        table = score_table(pairs, baseline_mean=76.7)
+        assert table["average"]["acc"] == 0.851
+        assert table["average"]["delta_vs_baseline"] == 8.4
 
 
 def test_grammar_round_trip_and_forbidden_formats():

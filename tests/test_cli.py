@@ -525,6 +525,35 @@ def test_score_unknown_instance_errors(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("row, problem", [
+    ({"answer": "Paris"}, "instance_id None names no instance"),
+    ({"instance_id": "a", "answer": 5}, "answer 5 is not a string or null"),
+], ids=["no-instance-id", "number-answer"])
+def test_malformed_run_row_names_the_file_and_record(tmp_path, capsys, row, problem):
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text(json.dumps({"instance_id": "a", "answer": "Paris"}) + "\n"
+                    + json.dumps(row) + "\n")
+    rc = main(["score", "--runs", str(runs), "--in", corpus, "--judge", "off",
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {runs}: record 1: {problem}\n"
+
+
+@pytest.mark.parametrize("labels, problem", [
+    (["Grounded", 5], "record 1: noise_label 5 is not a noise label"),
+    ([5, "Bogus"], "record 0: noise_label 5 is not a noise label"),
+    (["Grounded", None, "Bogus"], "record 2: noise_label 'Bogus' is not a noise label"),
+], ids=["number-label", "number-and-unknown-label", "unknown-label"])
+def test_malformed_noise_label_names_the_file_and_record(tmp_path, capsys, labels, problem):
+    reports = tmp_path / "reports.jsonl"
+    write_jsonl(reports, ({"noise_label": label} for label in labels))
+    out = tmp_path / "out"
+    assert main(["stats", "--in", str(reports), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {reports}: {problem}\n"
+    assert not out.exists()
+
+
 def test_stats_prints_percent(tmp_path, capsys):
     reports = tmp_path / "reports.jsonl"
     labels = ["Grounded"] * 3 + ["MissingEvidence", "WrongAnswer"]

@@ -97,6 +97,42 @@ def test_malformed_canonical_row_names_the_file_and_row(tmp_path, spoil, problem
     assert str(exc.value) == f"{path}: record 1: {problem}"
 
 
+def _musique_record(n_paragraphs=10):
+    return {
+        "id": "m1",
+        "question": "Where?",
+        "answer": "Paris",
+        "paragraphs": [
+            {"title": f"P{i}", "paragraph_text": f"Text {i}.", "is_supporting": i < 2}
+            for i in range(n_paragraphs)
+        ],
+    }
+
+
+def _drop_first_title(rec):
+    del rec["paragraphs"][0]["title"]
+    return rec
+
+
+@pytest.mark.parametrize("dataset, content, problem", [
+    (Dataset.HOTPOTQA, json.dumps([{**_hotpot_record(), "context": 5}]),
+     "record 0: 'int' object is not iterable"),
+    (Dataset.TWOWIKI, json.dumps({"x": 1}), "top-level value is not a JSON list"),
+    (Dataset.HOTPOTQA, json.dumps([_hotpot_record(), 7]),
+     "record 1: 'int' object has no attribute 'get'"),
+    (Dataset.MUSIQUE, json.dumps(_drop_first_title(_musique_record())),
+     "record 0: missing field 'title'"),
+    (Dataset.MUSIQUE, json.dumps(_musique_record(n_paragraphs=1)),
+     "record 0: expected exactly 10 passages, got 1"),
+], ids=["number-context", "object-file", "number-record", "untitled-paragraph", "one-passage"])
+def test_malformed_benchmark_record_names_the_file_and_record(tmp_path, dataset, content, problem):
+    path = tmp_path / "sample.json"
+    path.write_text(content + "\n")
+    with pytest.raises(ValueError) as exc:
+        load_instances(path, dataset, seed=0)
+    assert str(exc.value) == f"{path}: {problem}"
+
+
 def test_load_musique_jsonl(tmp_path):
     rec = {
         "id": "m1",

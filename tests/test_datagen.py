@@ -354,9 +354,7 @@ def test_build_dataset_infeasible_quota():
         ReasoningStep(2, StepKind.LOGICAL, "conclude"),
     )
     pool = [(make_instance(), Trajectory("q1", steps))]
-    config = DatasetConfig(
-        total=10, ideal_fraction=0.0, error_quotas=((ErrorType.CONTRADICTORY, 1.0),)
-    )
+    config = DatasetConfig(total=10, ideal_fraction=0.0)
     with pytest.raises(QuotaInfeasibleError):
         build_dataset(ScriptedBackend(responder=corrupting_teacher), pool, config)
 
@@ -381,10 +379,6 @@ def test_dataset_config_validation():
         DatasetConfig(total=0)
     with pytest.raises(ValueError):
         DatasetConfig(total=1, ideal_fraction=1.5)
-    with pytest.raises(ValueError):
-        DatasetConfig(total=1, error_quotas=())
-    with pytest.raises(ValueError):
-        DatasetConfig(total=10, ideal_fraction=1.0, error_quotas=((ErrorType.REDUNDANCY, 0.0),))
 
 
 def test_write_train_jsonl(tmp_path):

@@ -8,7 +8,6 @@ from hopcheck import extraction_pipeline, kg_graph
 from hopcheck.extraction_pipeline import (
     MAX_GLEANING_ROUNDS,
     NoiseStats,
-    corpus_stats,
     extract_triples,
     glean,
     resolve_entities,
@@ -322,13 +321,13 @@ def test_noise_stats_arithmetic_and_invariants():
 
 def test_corpus_stats_order_invariant():
     records = _ALL_RECORDS
-    reports = [
-        verify_instance(build_verify_backend(r), build_instance(r)) for r in records
+    rows = [
+        verify_instance(build_verify_backend(r), build_instance(r)).to_dict() for r in records
     ]
-    base = corpus_stats(reports)
+    base = NoiseStats.from_labels(row["noise_label"] for row in rows)
     assert base.total == len(records)
     assert base.noisy == sum(1 for r in records if r["expected_label"] != "Grounded")
-    shuffled = reports[:]
+    shuffled = rows[:]
     random.Random(5).shuffle(shuffled)
-    assert corpus_stats(shuffled) == base
+    assert NoiseStats.from_labels(row["noise_label"] for row in shuffled) == base
     assert base.to_dict()["by_label"]["Grounded"] == base.total - base.noisy

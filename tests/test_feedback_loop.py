@@ -6,7 +6,9 @@ from dataclasses import astuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopcheck.data_model import Dataset, Passage, QAInstance, write_jsonl
+from hopcheck.data_model import (
+    AnswerVerdict, Dataset, JudgeVerdict, Passage, QAInstance, write_jsonl,
+)
 from hopcheck.feedback_loop import (
     CacheLedger,
     FeedbackMode,
@@ -18,6 +20,7 @@ from hopcheck.feedback_loop import (
     run_corpus,
     run_instance,
     score_delta,
+    score_table,
     _LedgerTracker,
     update_ledger,
 )
@@ -383,7 +386,6 @@ def test_run_record_answer_iff_closed():
     cfg = LoopConfig()
     with pytest.raises(ValueError):
         RunRecord(
-            instance_id="x",
             config=cfg,
             trajectory=Trajectory("x"),
             answer="oops",  # no terminated/answer_forced event
@@ -397,27 +399,36 @@ def test_score_delta():
     assert score_delta(50.0, 48.25) == -1.8
 
 
-def test_aggregate_runs_order_invariant_and_table():
-    cfg = LoopConfig(max_steps=2, max_retries=0, mode=FeedbackMode.NO_FEEDBACK)
+def test_aggregate_runs_order_invariant():
+    cfg = LoopConfig(max_steps=2, max_retries=1, mode=FeedbackMode.EXTERNAL_FEEDBACK)
     records = []
-    for iid in ("a", "b", "c"):
-        generator = fifo(f"Step 1: ####ANSWER: Paris (Final Answer)")
-        records.append(run_instance(cfg, make_instance(iid), generator))
-    scores = {
-        "a": {"em": 1.0, "f1": 1.0, "acc": 1.0},
-        "b": {"em": 0.0, "f1": 0.5, "acc": 0.0},
-        "c": {"em": 1.0, "f1": 1.0, "acc": 1.0},
-    }
-    datasets = {"a": "hotpotqa", "b": "hotpotqa", "c": "musique"}
-    agg = aggregate_runs(records, scores, datasets, baseline_mean=50.0)
+    for iid, replies in (
+        ("a", ["Step 1: ####ANSWER: Paris (Final Answer)", _correct()]),
+        ("b", ["no step here", "Step 1: ####ANSWER: Paris (Final Answer)", _correct()]),
+        ("c", ["Step 1: ####ANSWER: Paris (Final Answer)", _correct()]),
+    ):
+        records.append(run_instance(cfg, make_instance(iid), fifo(*replies)))
+    agg = aggregate_runs(records)
     shuffled = records[:]
     random.Random(3).shuffle(shuffled)
-    assert aggregate_runs(shuffled, scores, datasets, baseline_mean=50.0) == agg
+    assert aggregate_runs(shuffled) == agg
     assert agg["runs"] == 3
-    assert agg["table"]["hotpotqa"]["f1"] == 0.75
-    assert agg["table"]["musique"]["em"] == 1.0
-    assert agg["table"]["average"]["acc"] == round(2 / 3, 4)
-    assert agg["table"]["average"]["delta_vs_baseline"] == round(200 / 3 - 50.0, 1)
+    assert agg["retries"] == 1
+    assert agg["generator_calls"] == 4 and agg["evaluator_calls"] == 3
+
+
+def test_score_table_per_dataset_and_delta():
+    correct, wrong = JudgeVerdict.CORRECT, JudgeVerdict.WRONG
+    pairs = [
+        ("hotpotqa", AnswerVerdict(em=1, f1=1.0, judge=correct)),
+        ("hotpotqa", AnswerVerdict(em=0, f1=0.5, judge=wrong)),
+        ("musique", AnswerVerdict(em=1, f1=1.0, judge=correct)),
+    ]
+    table = score_table(pairs, baseline_mean=50.0)
+    assert table["hotpotqa"]["f1"] == 0.75
+    assert table["musique"]["em"] == 1.0
+    assert table["average"]["acc"] == round(2 / 3, 4)
+    assert table["average"]["delta_vs_baseline"] == round(200 / 3 - 50.0, 1)
 
 
 def test_run_corpus_parallel_matches_serial():
