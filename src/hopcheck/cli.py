@@ -12,7 +12,9 @@ from .data_model import (
     Dataset, MalformedRecordError, canonical_row, load_canonical, load_instances, read_json,
     read_jsonl, write_json, write_jsonl,
 )
-from .datagen import DatasetConfig, build_dataset, generate_ideal, generate_plan
+from .datagen import (
+    DatagenError, DatasetConfig, build_dataset, generate_ideal, generate_plan, import_refined,
+)
 from .extraction_pipeline import MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, verify_instance
 from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table
 from .kg_graph import NoiseLabel
@@ -81,12 +83,18 @@ def _merged(config: dict, args: argparse.Namespace, keys: tuple[str, ...]) -> di
 
 def _noise_stats(rows: list[dict], source: str | Path, out_dir: Path | None) -> NoiseStats:
     """The noise counts of report rows, written to out_dir/noise_stats.json
-    unless out_dir is None. A label that is not null or a NoiseLabel
-    value raises MalformedRecordError naming `source` and the row."""
-    labels, known = [row.get("noise_label") for row in rows], (None, *NoiseLabel)
-    for i, label in enumerate(labels):
+    unless out_dir is None; a null label counts as unverified. A row
+    without a noise_label, or with a label that is not null or a
+    NoiseLabel value, raises MalformedRecordError naming `source` and
+    the row."""
+    labels, known = [], (None, *NoiseLabel)
+    for i, row in enumerate(rows):
+        if "noise_label" not in row:
+            raise MalformedRecordError(source, i, "no noise_label")
+        label = row["noise_label"]
         if label not in known:
             raise MalformedRecordError(source, i, f"noise_label {label!r} is not a noise label")
+        labels.append(label)
     stats = NoiseStats.from_labels(labels)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,6 +194,13 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
 def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("total", "seed", "ideal_fraction", "model"))
     instances = load_canonical(args.infile)
+    by_id = {inst.id: inst for inst in instances}
+    refined = []
+    for i, record in enumerate(read_jsonl(args.refined) if args.refined else []):
+        try:
+            refined.append(import_refined(record, by_id))
+        except DatagenError as exc:
+            raise MalformedRecordError(args.refined, i, str(exc)) from exc
     total = int(resolved.get("total", 100))
     if args.dry_run:
         worst = len(instances) * 2 + total
@@ -200,7 +215,6 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
     dataset_cfg = DatasetConfig(
         total=total, ideal_fraction=float(resolved.get("ideal_fraction", 0.34))
     )
-    refined = read_jsonl(args.refined) if args.refined else []
     examples, manifest = build_dataset(backend, pool, dataset_cfg, refined, model_id)
     out_dir = Path(args.out)
     _echo_config(out_dir, "synthesize", resolved)

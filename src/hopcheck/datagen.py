@@ -406,10 +406,11 @@ def build_dataset(
     backend: Backend,
     pool: list[tuple[QAInstance, Trajectory]],
     config: DatasetConfig,
-    refined_records: list[dict] | None = None,
+    refined: list[TrainingExample] | None = None,
     model_id: str = "default",
 ) -> tuple[list[TrainingExample], dict]:
-    """Synthesize the training set and its manifest.
+    """Synthesize the training set and its manifest; the `refined`
+    examples (see import_refined) follow the synthesized ones.
 
     Positions cycle deterministically through 1..MAX_POSITION (clipped
     to each trajectory's length) so every position bucket is covered;
@@ -456,10 +457,7 @@ def build_dataset(
             examples.append(inject_error(backend, instance, traj, target, error, model_id))
             produced += 1
 
-    instances_by_id = {inst.id: inst for inst, _ in pool}
-    for record in refined_records or []:
-        examples.append(import_refined(record, instances_by_id))
-
+    examples.extend(refined or [])
     manifest = build_manifest(examples)
     return examples, manifest
 

@@ -5,13 +5,14 @@ modes the evaluator returns (error type, diagnosis, guidance) and
 erroneous steps are retried with the feedback injected, at most N times
 per slot. The loop runs at most K accepted slots; unterminated runs are
 closed by a single forced final-answer call. Prompt-token reuse is
-tracked per role in an immutable CacheLedger.
+tracked per role as running integer totals, from which each run builds
+one immutable CacheLedger for its record.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .data_model import AnswerVerdict, JudgeVerdict, QAInstance
@@ -155,13 +156,6 @@ class CacheLedger:
     generator: RoleLedger = field(default_factory=RoleLedger)
     evaluator: RoleLedger = field(default_factory=RoleLedger)
 
-    def role(self, name: str) -> RoleLedger:
-        if name == "generator":
-            return self.generator
-        if name == "evaluator":
-            return self.evaluator
-        raise KeyError(name)
-
     @property
     def overall(self) -> RoleLedger:
         return self.generator + self.evaluator
@@ -178,17 +172,18 @@ class CacheLedger:
 
 
 def update_ledger(
-    ledger: CacheLedger,
-    role: str,
+    totals: list[int],
     usage,
     prefix_estimate: int,
     prompt_estimate: int = 0,
-) -> CacheLedger:
-    """Accumulate one call into the ledger; monotone per role.
+) -> None:
+    """Add one call into a role's running totals, a list of integers in
+    RoleLedger field order; the totals only grow.
 
     Backend-reported counts win; otherwise the fixed fallback estimator
     fills in total (prompt_estimate) and cached (prefix_estimate)
-    tokens, and the call is marked estimated.
+    tokens, and the call is marked estimated. Cached tokens never exceed
+    the call's total.
     """
     if min(prefix_estimate, prompt_estimate) < 0:
         raise ValueError("estimates must be >= 0")
@@ -203,8 +198,11 @@ def update_ledger(
             if usage.cached_prompt_tokens > 0
             else min(prefix_estimate, total)
         )
-    call = RoleLedger(total, cached, usage.completion_tokens, 1, int(estimated))
-    return replace(ledger, **{role: ledger.role(role) + call})
+    totals[0] += total
+    totals[1] += cached
+    totals[2] += usage.completion_tokens
+    totals[3] += 1
+    totals[4] += estimated
 
 
 @dataclass(frozen=True)
@@ -321,7 +319,8 @@ def _synthesize_step(raw: str, slot: int) -> ReasoningStep:
 
 
 class _LedgerTracker:
-    """Mutable run-scope wrapper over the immutable ledger updates.
+    """Run-scope ledger: per-role running totals that update_ledger adds
+    each call into; `ledger` builds the run's CacheLedger from them.
 
     When the backend reports no usage, a call's total prompt tokens are
     estimated as rough_token_count(prompt) and its cached tokens as the
@@ -337,9 +336,15 @@ class _LedgerTracker:
     """
 
     def __init__(self) -> None:
-        self.ledger = CacheLedger()
+        self._totals = {"generator": [0] * 5, "evaluator": [0] * 5}
         # role -> (previous prompt, its token count or None if it was skipped)
         self._last: dict[str, tuple[str, int | None]] = {}
+
+    @property
+    def ledger(self) -> CacheLedger:
+        return CacheLedger(
+            RoleLedger(*self._totals["generator"]), RoleLedger(*self._totals["evaluator"])
+        )
 
     def record(self, role: str, prompt: str, usage) -> None:
         estimated = usage.prompt_tokens == 0
@@ -359,9 +364,7 @@ class _LedgerTracker:
             # count of its shared prefix.
             if estimated or 2 * i > len(prompt):
                 count = prefix + rough_token_count(prompt[i:]) - splits_token(prompt, i)
-        self.ledger = update_ledger(
-            self.ledger, role, usage, prefix_estimate=prefix, prompt_estimate=count or 0,
-        )
+        update_ledger(self._totals[role], usage, prefix_estimate=prefix, prompt_estimate=count or 0)
         self._last[role] = (prompt, count)
 
 
@@ -370,16 +373,17 @@ def _evaluate(
     cfg: LoopConfig,
     instance: QAInstance,
     passages: str,
-    prefix: tuple[ReasoningStep, ...],
+    previous_steps: str,
     step: ReasoningStep,
     tracker: _LedgerTracker,
 ) -> tuple[Feedback | None, str]:
-    """One evaluator call; (feedback, flag). None feedback = unusable verdict."""
+    """One evaluator call on `step` after the rendered `previous_steps`;
+    (feedback, flag). None feedback = unusable verdict."""
     prompt, resp = ask(
         evaluator, "evaluation", cfg.evaluator_model,
         question=instance.question,
         passages=passages,
-        previous_steps=render_trajectory(prefix),
+        previous_steps=previous_steps,
         step=render_step(step),
     )
     tracker.record("evaluator", prompt, resp.usage)
@@ -436,7 +440,9 @@ def run_instance(
     Slot accounting: K counts accepted steps; rejected attempts consume
     only the slot's retry budget. Retry exhaustion accepts the last
     attempt flagged rather than skipping, which would break the strict
-    step numbering required by the step prompt.
+    step numbering required by the step prompt. The trajectory is fixed
+    within a slot, so it is rendered once per slot for every attempt and
+    evaluation.
     """
     if evaluator is None:
         evaluator = generator
@@ -454,12 +460,13 @@ def run_instance(
             accepted: ReasoningStep | None = None
             last_step: ReasoningStep | None = None
             last_raw = ""
+            previous_steps = render_trajectory(traj.steps)
             for attempt in range(cfg.max_retries + 1):
                 prompt, resp = ask(
                     generator, "step_generation", cfg.generator_model,
                     question=instance.question,
                     passages=passages,
-                    previous_steps=render_trajectory(traj.steps),
+                    previous_steps=previous_steps,
                     feedback=_render_feedback(feedback),
                 )
                 tracker.record("generator", prompt, resp.usage)
@@ -488,7 +495,9 @@ def run_instance(
                     events.append(LoopEvent("step_accepted", slot, attempt))
                     break
 
-                fb, flag = _evaluate(evaluator, cfg, instance, passages, traj.steps, step, tracker)
+                fb, flag = _evaluate(
+                    evaluator, cfg, instance, passages, previous_steps, step, tracker
+                )
                 if fb is None:
                     # Unusable evaluator verdict: accept rather than burn
                     # retries on a fault the generator cannot fix.

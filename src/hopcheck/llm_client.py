@@ -54,18 +54,27 @@ class PromptTemplate:
     body: str
 
     @functools.cached_property
+    def _parts(self) -> list[str]:
+        """The body split at its placeholders: literal text at even
+        positions, placeholder names at odd ones."""
+        return _PLACEHOLDER_RE.split(self.body)
+
+    @functools.cached_property
     def placeholders(self) -> frozenset[str]:
-        return frozenset(_PLACEHOLDER_RE.findall(self.body))
+        return frozenset(self._parts[1::2])
 
     def render(self, **values: str) -> str:
-        missing = self.placeholders - values.keys()
-        if missing:
-            raise PromptError(f"{self.name}: missing placeholders {sorted(missing)}")
-
-        def sub(match: re.Match) -> str:
-            return str(values[match.group(1)])
-
-        return _PLACEHOLDER_RE.sub(sub, self.body)
+        # Fills a copy: worker threads share one template per prompt.
+        parts = self._parts.copy()
+        try:
+            for i in range(1, len(parts), 2):
+                parts[i] = str(values[parts[i]])
+        except KeyError:
+            missing = self.placeholders - values.keys()
+            if not missing:
+                raise
+            raise PromptError(f"{self.name}: missing placeholders {sorted(missing)}") from None
+        return "".join(parts)
 
 
 @functools.cache
@@ -427,6 +436,9 @@ class ParseFailure:
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
+# raw_decode keeps no state between calls, so one decoder serves every
+# thread, as the one behind json.loads does.
+_DECODER = json.JSONDecoder()
 
 
 def _first_json(text: str, opener: str, what: str) -> dict | list | ParseFailure:
@@ -437,7 +449,7 @@ def _first_json(text: str, opener: str, what: str) -> dict | list | ParseFailure
         if start < 0:
             continue
         try:
-            return json.JSONDecoder().raw_decode(candidate, start)[0]
+            return _DECODER.raw_decode(candidate, start)[0]
         except json.JSONDecodeError:
             return ParseFailure(f"malformed {what}")
     return ParseFailure(f"no {what} found")

@@ -9,7 +9,7 @@ All functions are pure over immutable values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -193,7 +193,7 @@ def append_step(traj: Trajectory, step: ReasoningStep) -> Trajectory:
     expected = len(traj.steps) + 1
     if step.index != expected:
         raise SequencingError(f"expected step index {expected}, got {step.index}")
-    return replace(traj, steps=traj.steps + (step,))
+    return Trajectory(traj.instance_id, traj.steps + (step,))
 
 
 def render_trajectory(steps: tuple[ReasoningStep, ...]) -> str:

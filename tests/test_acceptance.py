@@ -19,6 +19,7 @@ from hopcheck.extraction_pipeline import NoiseStats, verify_instance
 from hopcheck.feedback_loop import (
     CacheLedger,
     LoopConfig,
+    RoleLedger,
     RunRecord,
     run_instance,
     score_table,
@@ -148,16 +149,18 @@ def test_cache_ledger_savings():
         # Unrounded token counts consistent with the published rounded
         # millions: generator 43.8M total / 32.94M cached, evaluator
         # 100.4M total / 95.4M cached.
-        ledger = update_ledger(
-            CacheLedger(), "generator",
+        generator, evaluator = [0] * 5, [0] * 5
+        update_ledger(
+            generator,
             Usage(prompt_tokens=43_800_000, cached_prompt_tokens=32_940_000),
             prefix_estimate=0,
         )
-        ledger = update_ledger(
-            ledger, "evaluator",
+        update_ledger(
+            evaluator,
             Usage(prompt_tokens=100_400_000, cached_prompt_tokens=95_400_000),
             prefix_estimate=0,
         )
+        ledger = CacheLedger(RoleLedger(*generator), RoleLedger(*evaluator))
         assert abs(100 * ledger.generator.savings - 75.2) <= 0.05
         assert abs(100 * ledger.evaluator.savings - 95.0) <= 0.05
         assert abs(100 * ledger.overall.savings - 89.0) <= 0.05

@@ -6,6 +6,7 @@ would otherwise break `bench/run.py --trace 1` only when the bench runs.
 """
 
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -13,6 +14,8 @@ import pytest
 
 import hopcheck
 from fixture_utils import build_instance, build_verify_backend, load_noise_fixtures
+from hopcheck.data_model import Dataset, Passage, QAInstance
+from hopcheck.llm_client import ChatResponse, ScriptedBackend
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -92,3 +95,52 @@ def test_tracer_attaches_and_restores(tracer):
     # as result[0]; every gleaning reply here is empty, so no round grew.
     assert counts["extraction_pipeline.glean.rounds"] == gold
     assert counts["extraction_pipeline.glean.fresh_rounds"] == 0
+
+
+def _verdict(error_type: str) -> str:
+    return json.dumps({"error_type": error_type, "diagnosis": "d", "guidance": "g"})
+
+
+def test_tracer_counts_one_loop_item(tracer):
+    """A two-slot run with a malformed step, an evaluator rejection and a
+    forced answer: the ledger update and the prompt render run once per
+    backend call, the trajectory render at most once per slot and once
+    for the forced answer."""
+    from hopcheck import feedback_loop
+
+    instance = QAInstance(
+        "loop1", "Who did it?",
+        tuple(Passage(i, f"Title {i}", f"Body {i}.", i <= 2) for i in range(1, 11)),
+        ("Paris",), Dataset.HOTPOTQA, 0,
+    )
+    generator = ScriptedBackend(script=[ChatResponse(text=t) for t in (
+        "no step here",
+        "Step 1: a fact from passage 1 (Attribution)",
+        "Step 2: an inference about the question (Logical)",
+        "Step 2: a better inference about the question (Logical)",
+        "####ANSWER: Paris",
+    )])
+    evaluator = ScriptedBackend(script=[
+        ChatResponse(text=_verdict(v)) for v in ("Correct", "Off-topic", "Correct")
+    ])
+    cfg = feedback_loop.LoopConfig(max_steps=2, max_retries=1)
+    before = _bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        record = feedback_loop.run_instance(cfg, instance, generator, evaluator)
+        t.end_pass()
+    finally:
+        t.uninstall()
+    _assert_restored(before)
+    assert record.retries == 2 and record.answer == "Paris"
+    assert "answer_forced" in {e.kind for e in record.events}
+    calls = t.summary()["details"]["span_calls_per_pass"]
+    backend_calls = generator.calls + evaluator.calls
+    assert calls["llm_client.backend"] == backend_calls == 8
+    assert calls["feedback_loop.update_ledger"] == backend_calls
+    assert calls["llm_client.render"] == backend_calls
+    assert calls["step_grammar.render_trajectory"] <= len(record.trajectory.steps) + 1
+    assert t.counts["llm_client.calls_by_prompt.step_generation"] == 4
+    assert t.counts["llm_client.calls_by_prompt.evaluation"] == 3
+    assert t.counts["llm_client.calls_by_prompt.final_answer"] == 1

@@ -432,9 +432,24 @@ def test_synthesize_invalid_refined_record_is_one_error_line(tmp_path, capsys, m
     assert main(["synthesize", "--in", corpus, "--total", "3", "--refined", str(refined),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: refined record invalid: ")
+    assert err.startswith(f"error: {refined}: record 0: refined record invalid: ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_synthesize_checks_refined_rows_before_any_backend_call(tmp_path, capsys, monkeypatch):
+    backend = ScriptedBackend(responder=_synthesis_teacher([]))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
+    refined = tmp_path / "refined.jsonl"
+    write_jsonl(refined, [{
+        "instance_id": "a", "position": 1,
+        "feedback": {"error_type": "Unsupported", "diagnosis": "d", "guidance": "g"},
+    }])
+    assert main(["synthesize", "--in", corpus, "--total", "3", "--refined", str(refined),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {refined}: record 0: refined record invalid: 'step'\n"
+    assert backend.calls == 0
 
 
 def test_synthesize_failed_backend_call_is_one_error_line(tmp_path, capsys):
@@ -565,6 +580,13 @@ def test_stats_prints_percent(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "40.00%"
     stats = json.loads((out / "noise_stats.json").read_text())
     assert stats["by_label"] == {"Grounded": 3, "MissingEvidence": 1, "WrongAnswer": 1}
+
+
+def test_stats_rejects_a_row_without_noise_label(tmp_path, capsys):
+    reports = tmp_path / "runs.jsonl"
+    write_jsonl(reports, [{"noise_label": None}, {"instance_id": "a", "answer": "x"}])
+    assert main(["stats", "--in", str(reports)]) == 1
+    assert capsys.readouterr().err == f"error: {reports}: record 1: no noise_label\n"
 
 
 def test_version_flag(capsys):

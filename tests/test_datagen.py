@@ -362,12 +362,12 @@ def test_build_dataset_infeasible_quota():
 def test_build_dataset_with_refined_records():
     pool = [(make_instance(), make_trajectory())]
     refined = [
-        {
+        import_refined({
             "instance_id": "q1",
             "position": 1,
             "step": "Step 1: a dubious fact from passage 2 (Attribution)",
             "feedback": {"error_type": "Unsupported", "diagnosis": "d", "guidance": "g"},
-        }
+        }, {"q1": pool[0][0]})
     ]
     config = DatasetConfig(total=3, ideal_fraction=1.0)
     examples, manifest = build_dataset(ScriptedBackend(script=[]), pool, config, refined)

@@ -253,7 +253,9 @@ def test_programming_error_in_backend_propagates():
 
 
 def test_update_ledger_reported_counts_win():
-    ledger = update_ledger(CacheLedger(), "generator", Usage(100, 40, 10), prefix_estimate=999)
+    totals = [0] * 5
+    update_ledger(totals, Usage(100, 40, 10), prefix_estimate=999)
+    ledger = CacheLedger(generator=RoleLedger(*totals))
     assert ledger.generator.total_prompt_tokens == 100
     assert ledger.generator.cached_prompt_tokens == 40
     assert ledger.generator.completion_tokens == 10
@@ -262,9 +264,9 @@ def test_update_ledger_reported_counts_win():
 
 
 def test_update_ledger_estimates_when_unreported():
-    ledger = update_ledger(
-        CacheLedger(), "evaluator", Usage(0, 0, 5), prefix_estimate=30, prompt_estimate=80
-    )
+    totals = [0] * 5
+    update_ledger(totals, Usage(0, 0, 5), prefix_estimate=30, prompt_estimate=80)
+    ledger = CacheLedger(evaluator=RoleLedger(*totals))
     role = ledger.evaluator
     assert role.total_prompt_tokens == 80
     assert role.cached_prompt_tokens == 30
@@ -272,9 +274,9 @@ def test_update_ledger_estimates_when_unreported():
     # conservation: cached + computed == total, always
     assert role.cached_prompt_tokens + role.computed_prompt_tokens == role.total_prompt_tokens
     # cached estimate is clamped to the total
-    clamped = update_ledger(
-        CacheLedger(), "evaluator", Usage(0, 0, 0), prefix_estimate=500, prompt_estimate=80
-    )
+    totals = [0] * 5
+    update_ledger(totals, Usage(0, 0, 0), prefix_estimate=500, prompt_estimate=80)
+    clamped = CacheLedger(evaluator=RoleLedger(*totals))
     assert clamped.evaluator.cached_prompt_tokens == 80
 
 
@@ -334,16 +336,20 @@ class _ReferenceTracker:
     role's previous prompt and a full rough_token_count of each prompt."""
 
     def __init__(self) -> None:
-        self.ledger = CacheLedger()
+        self.totals = {"generator": [0] * 5, "evaluator": [0] * 5}
         self.last: dict[str, str] = {}
+
+    @property
+    def ledger(self) -> CacheLedger:
+        return CacheLedger(*(RoleLedger(*self.totals[role]) for role in ("generator", "evaluator")))
 
     def record(self, role, prompt, usage) -> None:
         previous = self.last.get(role, "")
         i = 0
         while i < min(len(previous), len(prompt)) and previous[i] == prompt[i]:
             i += 1
-        self.ledger = update_ledger(
-            self.ledger, role, usage,
+        update_ledger(
+            self.totals[role], usage,
             prefix_estimate=rough_token_count(prompt[:i]),
             prompt_estimate=rough_token_count(prompt),
         )

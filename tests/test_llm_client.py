@@ -19,6 +19,7 @@ from hopcheck.llm_client import (
     OpenAIBackend,
     ParseFailure,
     PromptError,
+    PromptTemplate,
     RecordingBackend,
     ScriptedBackend,
     TransportError,
@@ -47,6 +48,62 @@ def test_prompt_render_missing_placeholder():
     template = load_prompt("judge")
     with pytest.raises(PromptError, match="missing placeholders"):
         template.render(question="q")
+
+
+_REF_PLACEHOLDER_RE = re.compile(r"<<([a-z_]+)>>")
+
+
+def _ref_render(template, **values):
+    """Reference rendering: one regex substitution with a callback."""
+    missing = frozenset(_REF_PLACEHOLDER_RE.findall(template.body)) - values.keys()
+    if missing:
+        raise PromptError(f"{template.name}: missing placeholders {sorted(missing)}")
+    return _REF_PLACEHOLDER_RE.sub(lambda m: str(values[m.group(1)]), template.body)
+
+
+def _render_outcome(render, template, values):
+    try:
+        return "ok", render(template, **values)
+    except PromptError as exc:
+        return "error", str(exc)
+
+
+_RENDER_VALUES = st.one_of(
+    st.text(alphabet="<>\\g1_aqz \n", max_size=12),
+    st.sampled_from(["", "<<question>>", "<<passages>><<step>>", "\\g<1>", "\\1", "\\", "<<", ">>"]),
+    st.integers(),
+    st.none(),
+    st.floats(),
+    st.lists(st.text(alphabet="<>\\a", max_size=3), max_size=2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(PROMPT_NAMES), st.data())
+def test_render_matches_regex_reference(name, data):
+    template = load_prompt(name)
+    assert template.placeholders == frozenset(_REF_PLACEHOLDER_RE.findall(template.body))
+    names = sorted(template.placeholders)
+    values = {p: data.draw(_RENDER_VALUES, label=p) for p in names}
+    values["not_a_placeholder"] = data.draw(_RENDER_VALUES, label="extra")
+    dropped = data.draw(st.sets(st.sampled_from(names), max_size=2), label="dropped")
+    values = {k: v for k, v in values.items() if k not in dropped}
+    expected = _render_outcome(_ref_render, template, values)
+    assert expected[0] == ("error" if dropped else "ok")
+    assert _render_outcome(PromptTemplate.render, template, values) == expected
+    # Rendering again gives the same text: render never edits the shared template.
+    assert _render_outcome(PromptTemplate.render, template, values) == expected
+
+
+def test_render_from_threads_matches_reference():
+    template = load_prompt("step_generation")
+
+    def values(i):
+        return {p: f"<<{p}>> {i} \\g<1>" for p in template.placeholders}
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+        rendered = list(pool.map(lambda i: template.render(**values(i)), range(200)))
+    assert rendered == [_ref_render(template, **values(i)) for i in range(200)]
 
 
 def test_unknown_prompt_rejected():
