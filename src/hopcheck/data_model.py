@@ -305,9 +305,14 @@ def _replace(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
+# json.dumps builds a new encoder per call when given any non-default
+# argument; one shared encoder writes the same bytes.
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> None:
     """One JSON line per row, keys sorted, non-ASCII kept as is."""
-    _replace(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows))
+    _replace(path, (_ROW_ENCODER.encode(row) + "\n" for row in rows))
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -342,7 +342,9 @@ def import_refined(
     """
     try:
         instance = instances[record["instance_id"]]
-        position = int(record["position"])
+        position = record["position"]
+        if type(position) is not int:  # bool is an int subclass, and no JSON integer
+            raise TypeError(f"position {position!r} is not an integer")
         step = parse_step(record["step"], expected_index=position).step
         target = Feedback.from_dict(record["feedback"])
         prior = tuple(

@@ -39,7 +39,6 @@ from .llm_client import (
     parse_json_list,
     parse_structured_verdict,
 )
-from .textnorm import normalize
 
 MAX_GLEANING_ROUNDS = 2
 
@@ -240,12 +239,14 @@ def _question_entities(instance: QAInstance) -> set[str]:
     return {p.title for p in instance.gold_passages}
 
 
-def _deterministic_verdict(kg: LocalizedKG, instance: QAInstance, entities: set[str]) -> PathVerdict:
+def _deterministic_verdict(
+    kg: LocalizedKG, instance: QAInstance, entities: set[str], keys: KeyMemo
+) -> PathVerdict:
     verdict = None
     for answer in instance.gold_answers:
-        if not normalize(answer):
+        if not keys[answer]:
             continue
-        candidate = find_grounded_path(kg, entities, answer)
+        candidate = find_grounded_path(kg, entities, answer, keys=keys)
         if candidate.is_valid:
             return candidate
         if verdict is None:
@@ -256,12 +257,12 @@ def _deterministic_verdict(kg: LocalizedKG, instance: QAInstance, entities: set[
 
 
 def _llm_verdict(
-    backend: Backend, kg: LocalizedKG, instance: QAInstance, model_id: str
+    backend: Backend, kg: LocalizedKG, instance: QAInstance, model_id: str, keys: KeyMemo
 ) -> PathVerdict | None:
     _, resp = ask(
         backend, "path_discovery", model_id,
         question=instance.question,
-        answer=primary_answer(instance.gold_answers),
+        answer=primary_answer(instance.gold_answers, keys),
         triples=_triples_json([e.triple() for e in kg.edges]),
     )
     obj = parse_structured_verdict(resp.text, required_keys=("is_valid", "reasoning_path"))
@@ -298,7 +299,8 @@ def verify_instance(
     empty graph and a `backend_failed:<error>` flag.
 
     Every surface is normalized once, through one memo that extraction,
-    gleaning, resolution and build_kg share and that ends with the call.
+    gleaning, resolution, build_kg, the search and the noise label share
+    and that ends with the call.
     """
     if mode not in VERIFY_MODES:
         raise ValueError(f"mode must be one of {VERIFY_MODES}, got {mode!r}")
@@ -344,7 +346,7 @@ def verify_instance(
             flags.append("entity_resolution_unparseable")
         counters["alias_groups"] = len(groups)
         kg = build_kg(triples, groups, keys=keys)
-        llm = _llm_verdict(backend, kg, instance, model_id) if mode != "deterministic" else None
+        llm = _llm_verdict(backend, kg, instance, model_id, keys) if mode != "deterministic" else None
     except TransportError as exc:
         return InstanceReport(
             instance_id=instance.id,
@@ -355,7 +357,7 @@ def verify_instance(
         )
 
     entities = _question_entities(instance)
-    det = _deterministic_verdict(kg, instance, entities) if mode != "llm" else None
+    det = _deterministic_verdict(kg, instance, entities, keys) if mode != "llm" else None
     if mode == "llm":
         if llm is None:
             return InstanceReport(
@@ -372,7 +374,7 @@ def verify_instance(
         if mode == "cross-check" and llm is None:
             flags.append("llm_verdict_unparseable")
 
-    label = classify_noise(verdict, kg, instance.question, entities, instance.gold_answers)
+    label = classify_noise(verdict, kg, instance.question, entities, instance.gold_answers, keys=keys)
     return InstanceReport(
         instance_id=instance.id,
         verdict=verdict,

@@ -36,36 +36,44 @@ NON_ENTITY_KEYS = frozenset(
 ) | {""}
 
 
-def canonical_key(text: str) -> str:
-    return normalize(text)
-
-
 class KeyMemo(dict):
-    """text -> canonical_key(text), normalizing each text once.
+    """text -> normalize(text), normalizing each text once.
 
     A memo serves one verified instance or one build_kg call and is then
-    dropped; nothing is cached across instances.
+    dropped; nothing is cached across instances. It also holds the search
+    work on the graph searched last through it (see _derived).
     """
+
+    graph: LocalizedKG | None = None
+    derived: dict[tuple, object]
 
     def __missing__(self, text: str) -> str:
         key = self[text] = normalize(text)
         return key
 
 
-def content_tokens(text: str) -> frozenset[str]:
-    return frozenset(t for t in normalize(text).split() if t not in _STOPWORDS)
+def _key(text: str, keys: KeyMemo | None) -> str:
+    """normalize(text), through the caller's memo if it has one."""
+    return normalize(text) if keys is None else keys[text]
+
+
+def _content_words(key: str) -> frozenset[str]:
+    return frozenset(key.split()) - _STOPWORDS
+
+
+def content_tokens(text: str, keys: KeyMemo | None = None) -> frozenset[str]:
+    return _content_words(_key(text, keys))
 
 
 def relation_key(relation: str, keys: KeyMemo | None = None) -> str:
     """Predicate key: words joined by "_" and words joined by spaces name
-    the same predicate. `keys` is the caller's memo, if it has one."""
-    text = relation.replace("_", " ")
-    return normalize(text) if keys is None else keys[text]
+    the same predicate."""
+    return _key(relation.replace("_", " "), keys)
 
 
-def _predicate_form(predicate: str) -> str:
+def _predicate_form(predicate: str, keys: KeyMemo | None = None) -> str:
     """The relation key's content words, sorted."""
-    return " ".join(sorted(t for t in relation_key(predicate).split() if t not in _STOPWORDS))
+    return " ".join(sorted(t for t in relation_key(predicate, keys).split() if t not in _STOPWORDS))
 
 
 _PREDICATE_CLASS: dict[str, int] = {
@@ -77,25 +85,25 @@ _PREDICATE_CLASS: dict[str, int] = {
 }
 
 
-def predicate_class(predicate: str) -> str:
+def predicate_class(predicate: str, keys: KeyMemo | None = None) -> str:
     """Equivalence class key for semantic predicate matching."""
-    form = _predicate_form(predicate)
+    form = _predicate_form(predicate, keys)
     class_id = _PREDICATE_CLASS.get(form)
     return f"syn:{class_id}" if class_id is not None else f"lit:{form}"
 
 
-def primary_answer(gold_answers: tuple[str, ...]) -> str:
+def primary_answer(gold_answers: tuple[str, ...], keys: KeyMemo | None = None) -> str:
     """The first gold answer that normalizes non-empty, else the first one."""
-    return next((g for g in gold_answers if normalize(g)), gold_answers[0])
+    return next((g for g in gold_answers if _key(g, keys)), gold_answers[0])
 
 
-def answer_matches(answer: str, node_label: str) -> bool:
+def answer_matches(answer: str, node_label: str, keys: KeyMemo | None = None) -> bool:
     """Normalized containment match, token-aligned in either direction.
 
     Benchmark answers vary in granularity: gold "Karachi, Pakistan"
     matches the node "Karachi".
     """
-    return _tokens_match(normalize(answer).split(), normalize(node_label).split())
+    return _tokens_match(_key(answer, keys).split(), _key(node_label, keys).split())
 
 
 def _tokens_match(a: list[str], n: list[str]) -> bool:
@@ -153,13 +161,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class LocalizedKG:
-    triples: tuple[Triple, ...]  # canonicalized, deduplicated
     resolution: tuple[AliasGroup, ...]
     nodes: dict[str, str] = field(default_factory=dict)  # key -> display label
     edges: tuple[Edge, ...] = ()
     adjacency: dict[str, tuple[tuple[str, str, str], ...]] = field(default_factory=dict)
     # adjacency[key] = ((neighbor_key, relation, edge_id), ...) both directions
     aliases: dict[str, str] = field(default_factory=dict)  # member key -> group canonical label
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """The canonical, deduplicated triples: one per edge and source passage."""
+        return tuple(Triple(e.head, e.relation, e.tail, src) for e in self.edges for src in e.sources)
 
     def degree(self, key: str) -> int:
         return len({n for n, _, _ in self.adjacency.get(key, ())})
@@ -249,7 +261,6 @@ def build_kg(
 
     edges = tuple(Edge(head, rel, tail, tuple(sorted(srcs))) for head, rel, tail, srcs in dedup.values())
     return LocalizedKG(
-        triples=tuple(Triple(e.head, e.relation, e.tail, src) for e in edges for src in e.sources),
         resolution=tuple(groups),
         nodes=labels,
         edges=edges,
@@ -258,23 +269,51 @@ def build_kg(
     )
 
 
-def _match_question_entities(kg: LocalizedKG, question_entities: set[str]) -> list[str]:
+def _derived(kg: LocalizedKG, keys: KeyMemo, key: tuple, compute):
+    """compute() for `key` on kg, computed once while kg is the graph the
+    memo searches.
+
+    The search and the noise label ask an instance's graph the same
+    questions several times: the matched entities, the nodes matching
+    each answer, the breadth-first trees and the comparison branch sets.
+    Each answer depends only on the graph and the key. The memo keeps
+    them for one graph at a time, which is all the callers need: the
+    instance's graph is searched until the noise label moves on to merged
+    graphs, each of which is searched once.
+    """
+    if keys.graph is not kg:
+        keys.graph, keys.derived = kg, {}
+    derived = keys.derived
+    if key not in derived:
+        derived[key] = compute()
+    return derived[key]
+
+
+def _match_question_entities(kg: LocalizedKG, question_entities: set[str], keys: KeyMemo) -> list[str]:
     """Question entities map to nodes by normalized equality (aliases included)."""
-    matched = set()
-    for entity in question_entities:
-        key = canonical_key(entity)
-        if key in kg.aliases:
-            key = canonical_key(kg.aliases[key])
-        if key in kg.adjacency:
-            matched.add(key)
-    return sorted(matched)
+
+    def match() -> list[str]:
+        matched = set()
+        for entity in question_entities:
+            key = keys[entity]
+            if key in kg.aliases:
+                key = keys[kg.aliases[key]]
+            if key in kg.adjacency:
+                matched.add(key)
+        return sorted(matched)
+
+    return _derived(kg, keys, ("entities", frozenset(question_entities)), match)
 
 
-def _answer_node_keys(kg: LocalizedKG, answer: str) -> set[str]:
+def _answer_node_keys(kg: LocalizedKG, answer: str, keys: KeyMemo) -> set[str]:
     """Nodes whose label matches the answer. build_kg keys each node by its
     normalized label, so only the answer is normalized here."""
-    tokens = normalize(answer).split()
-    return {k for k in kg.adjacency if _tokens_match(tokens, k.split())}
+
+    def match() -> set[str]:
+        tokens = keys[answer].split()
+        return {k for k in kg.adjacency if _tokens_match(tokens, k.split())}
+
+    return _derived(kg, keys, ("answer", answer), match)
 
 
 def _hop_counts(kg: LocalizedKG, sources: Iterable[str]) -> dict[str, int]:
@@ -316,6 +355,13 @@ def _shortest_paths(
                     reached.append(neighbor)
         frontier = reached
     return paths
+
+
+def _tree(kg: LocalizedKG, keys: KeyMemo, start: str) -> dict[str, tuple[tuple[str, ...], tuple[str, ...]]]:
+    """_shortest_paths(kg, start): the chains from a matched entity, which
+    the search, the contradicting-chain check and the conflation bound all
+    read."""
+    return _derived(kg, keys, ("tree", start), lambda: _shortest_paths(kg, start))
 
 
 def _path_triples(kg: LocalizedKG, edge_ids: tuple[str, ...]) -> tuple[Triple, ...]:
@@ -365,7 +411,7 @@ class _Branch:
     edge_ids: tuple[str, ...]
 
 
-def _parallel_assignments(kg: LocalizedKG, entity_keys: list[str]) -> list[list[list[_Branch]]]:
+def _parallel_assignments(kg: LocalizedKG, entity_keys: list[str], keys: KeyMemo) -> list[list[list[_Branch]]]:
     """Per predicate class covered by every compared entity: each entity's
     best branch to each terminal whose last edge is in that class,
     smallest terminal first.
@@ -388,7 +434,7 @@ def _parallel_assignments(kg: LocalizedKG, entity_keys: list[str]) -> list[list[
                 if neighbor not in prefixes or len(prefixes[neighbor][1]) >= MAX_HOPS:
                     continue
                 nodes, edge_ids = prefixes[neighbor]
-                by_terminal = best.setdefault(predicate_class(relation), {})
+                by_terminal = best.setdefault(predicate_class(relation, keys), {})
                 key = (len(edge_ids), nodes)
                 if terminal not in by_terminal or key < by_terminal[terminal][0]:
                     by_terminal[terminal] = (key, _Branch(terminal, edge_ids + (edge_id,)))
@@ -401,7 +447,7 @@ def _parallel_assignments(kg: LocalizedKG, entity_keys: list[str]) -> list[list[
 
 
 def find_grounded_path(
-    kg: LocalizedKG, question_entities: set[str], answer: str
+    kg: LocalizedKG, question_entities: set[str], answer: str, *, keys: KeyMemo | None = None
 ) -> PathVerdict:
     """Deterministic grounded-path discovery.
 
@@ -412,22 +458,44 @@ def find_grounded_path(
     predicates and the attribute values decide the answer (equality for
     yes/no, date/number ordering otherwise). Undecidable comparisons are
     reported invalid with the Parallel pattern and an "ambiguous"
-    explanation.
+    explanation. `keys` is the caller's per-instance memo, if it has one.
     """
     if not question_entities:
         raise ValueError("question_entities must be non-empty")
-    if not normalize(answer):
+    keys = KeyMemo() if keys is None else keys
+    if not keys[answer]:
         raise ValueError("answer text normalizes to empty")
 
-    entity_keys = _match_question_entities(kg, question_entities)
-    answer_keys = _answer_node_keys(kg, answer)
+    entity_keys = _match_question_entities(kg, question_entities, keys)
+    answer_keys = _answer_node_keys(kg, answer, keys)
+    verdict = _search(kg, question_entities, entity_keys, answer, answer_keys, keys)
+    if verdict is not None:
+        return verdict
+    if not entity_keys:
+        reason = "no question entity matches a graph node"
+    elif not answer_keys and keys[answer] not in ("yes", "no"):
+        reason = "no graph node matches the answer"
+    else:
+        reason = "no continuous chain or comparison structure reaches the answer"
+    return PathVerdict(
+        is_valid=False, reasoning_path=(), pattern=PathPattern.SEQUENTIAL, explanation=reason
+    )
 
-    hits = [
-        path
-        for start in entity_keys
-        for node, path in _shortest_paths(kg, start).items()
-        if node != start and node in answer_keys
-    ]
+
+def _search(
+    kg: LocalizedKG,
+    question_entities: set[str],
+    entity_keys: list[str],
+    answer: str,
+    answer_keys: set[str],
+    keys: KeyMemo,
+) -> PathVerdict | None:
+    """The shortest chain's verdict, else a decided comparison's, else the
+    ambiguous one; None when there is no chain and no comparison."""
+    hits = []
+    for start in entity_keys:
+        tree = _tree(kg, keys, start)
+        hits += [tree[node] for node in answer_keys if node != start and node in tree]
     if hits:
         best = min(hits, key=lambda p: (len(p[1]), p[0]))
         return PathVerdict(
@@ -440,28 +508,31 @@ def find_grounded_path(
             ),
         )
 
+    if not _comparison_possible(question_entities, entity_keys, answer, keys):
+        return None
+    answer_norm = keys[answer]
+    boolean = answer_norm in ("yes", "no")
+    # The same for every answer, so a flipped yes/no search reuses it.
+    assignments = _derived(
+        kg, keys, ("branches", tuple(entity_keys)), lambda: _parallel_assignments(kg, entity_keys, keys)
+    )
     ambiguous = False
-    answer_norm = normalize(answer)
-    if len(entity_keys) >= 2:
-        boolean = answer_norm in ("yes", "no")
-        answer_is_entity = any(answer_matches(answer, e) for e in question_entities)
-        for branch_sets in _parallel_assignments(kg, entity_keys):
-            if boolean:
-                if answer_norm == "yes":
-                    chosen = _choose_all_equal(branch_sets)
-                else:
-                    chosen = _choose_not_all_equal(branch_sets)
-                if chosen is not None:
-                    return _parallel_verdict(kg, chosen, "equality comparison of attribute values")
-            elif answer_is_entity:
-                chosen = _choose_ordered_distinct(kg, branch_sets)
-                if chosen is None:
-                    ambiguous = True
-                else:
-                    return _parallel_verdict(
-                        kg, chosen, "date/number ordering of the compared attribute values"
-                    )
-
+    for branch_sets in assignments:
+        if boolean:
+            if answer_norm == "yes":
+                chosen = _choose_all_equal(branch_sets)
+            else:
+                chosen = _choose_not_all_equal(branch_sets)
+            if chosen is not None:
+                return _parallel_verdict(kg, chosen, "equality comparison of attribute values")
+        else:
+            chosen = _choose_ordered_distinct(kg, branch_sets)
+            if chosen is None:
+                ambiguous = True
+            else:
+                return _parallel_verdict(
+                    kg, chosen, "date/number ordering of the compared attribute values"
+                )
     if ambiguous:
         return PathVerdict(
             is_valid=False,
@@ -469,14 +540,14 @@ def find_grounded_path(
             pattern=PathPattern.PARALLEL,
             explanation="ambiguous: comparison attributes found but values are not orderable",
         )
-    if not entity_keys:
-        reason = "no question entity matches a graph node"
-    elif not answer_keys and answer_norm not in ("yes", "no"):
-        reason = "no graph node matches the answer"
-    else:
-        reason = "no continuous chain or comparison structure reaches the answer"
-    return PathVerdict(
-        is_valid=False, reasoning_path=(), pattern=PathPattern.SEQUENTIAL, explanation=reason
+    return None
+
+
+def _comparison_possible(question_entities: set[str], entity_keys: list[str], answer: str, keys: KeyMemo) -> bool:
+    """A Parallel verdict needs at least 2 matched entities and a yes/no
+    answer or one that matches a question entity."""
+    return len(entity_keys) >= 2 and (
+        keys[answer] in ("yes", "no") or any(answer_matches(answer, e, keys) for e in question_entities)
     )
 
 
@@ -547,29 +618,33 @@ def _parallel_verdict(kg: LocalizedKG, branches: list[_Branch], how: str) -> Pat
 
 
 def _complete_contradicting_chain(
-    kg: LocalizedKG, entity_keys: list[str], question: str, answer: str
+    kg: LocalizedKG, entity_keys: list[str], question: str, answer: str, keys: KeyMemo
 ) -> bool:
     """A chain from a question entity ends at a leaf whose final relation
     echoes the question but whose value contradicts the gold answer.
 
     All of a leaf's edges run to its one neighbour, so once the leaf is
-    reached, each of its edges is the last edge of some chain.
+    reached, each of its edges is the last edge of some chain. A node's
+    key is its label normalized, so the leaf's key is matched against the
+    answer.
     """
-    q_tokens = content_tokens(question)
+    q_tokens = content_tokens(question, keys)
+    answer_tokens = keys[answer].split()
     wants_place = bool(re.search(r"\bwhere\b|\bplace\b|\bcity\b", question.lower()))
     wants_time = bool(re.search(r"\bwhen\b|\byear\b|\bdate\b", question.lower()))
-    reached = {node for start in entity_keys for node in _shortest_paths(kg, start) if node != start}
+    reached = {node for start in entity_keys for node in _tree(kg, keys, start) if node != start}
     for terminal in reached:
         if kg.degree(terminal) > 1:
             continue
         # q_tokens holds no stopwords, so the relation's need no filtering.
         if not any(
-            q_tokens.intersection(relation_key(relation).split()) for _, relation, _ in kg.adjacency[terminal]
+            q_tokens.intersection(relation_key(relation, keys).split())
+            for _, relation, _ in kg.adjacency[terminal]
         ):
             continue
-        label = kg.nodes[terminal]
-        if answer_matches(answer, label):
+        if _tokens_match(answer_tokens, terminal.split()):
             continue
+        label = kg.nodes[terminal]
         if wants_place and _is_pure_temporal(label):
             continue
         if wants_time and parse_orderable(label) is None:
@@ -579,8 +654,10 @@ def _complete_contradicting_chain(
 
 
 def _conflation_candidates(kg: LocalizedKG) -> list[tuple[str, str]]:
+    """Node pairs whose labels share two content tokens. A node's key is
+    its label normalized, so the tokens come from the keys."""
     keys = sorted(kg.adjacency)
-    tokens = {k: content_tokens(kg.nodes[k]) for k in keys}
+    tokens = {k: _content_words(k) for k in keys}
     return [(a, b) for i, a in enumerate(keys) for b in keys[i + 1 :] if len(tokens[a] & tokens[b]) >= 2]
 
 
@@ -590,32 +667,43 @@ def _bridging_candidates(
     entity_keys: list[str],
     answer: str,
     answer_keys: set[str],
+    keys: KeyMemo,
 ) -> list[tuple[str, str]]:
     """The conflation candidates whose merged graph can pass
     find_grounded_path for this answer; every other candidate's cannot.
 
     Merging b into a adds no question-entity node and no answer node: an
     entity that matched b matches the merged node, and the merged node
-    takes a's label, so it matches the answer only if a did. A Parallel
-    verdict needs at least 2 matched entities and a yes/no answer or one
-    that matches a question entity; when that is possible, or when kg
-    already has a chain of 1 to MAX_HOPS edges from a matched entity to
-    another node matching the answer, every candidate is kept. Otherwise
-    every chain in a merged graph passes through the merged node, since
-    one that avoids it is a chain in kg too. It enters from a's or b's
-    side and leaves toward a's or b's side, so it is at least
+    takes a's label, so it matches the answer only if a did.
+
+    When kg itself passes for this answer (possible in llm and
+    cross-check modes, where the verdict is the model's), every candidate
+    is kept: merging a far pair leaves the chain or comparison intact, so
+    its merged graph passes too, while merging a near one can break it.
+
+    Otherwise a chain or comparison branch of the merged graph that kg
+    lacks must touch the merged node, and every one starts at a matched
+    entity and has at most MAX_HOPS edges. The part before it first
+    touches the merged node is a path in kg to a neighbour of a or b, so
+    a or b is within MAX_HOPS of a matched entity; for any other pair,
+    every chain and branch of the merged graph is one of kg's. When a
+    Parallel verdict is possible, a pair is kept only if a or b is within
+    MAX_HOPS of a matched entity. Otherwise only
+    a chain can pass, and it runs on from the merged node toward a's or
+    b's side to the answer, so it is at least
     min(dE[a], dE[b]) + min(dA[a], dA[b]) edges long, where dE and dA are
     hop counts in kg from the matched entities and from the answer nodes.
     A pair is kept only if that sum is at most MAX_HOPS.
     """
     pairs = _conflation_candidates(kg)
-    parallel_possible = len(entity_keys) >= 2 and (
-        normalize(answer) in ("yes", "no") or any(answer_matches(answer, e) for e in question_entities)
-    )
-    has_chain = any(answer_keys.intersection(_hop_counts(kg, (s,))) - {s} for s in entity_keys)
-    if parallel_possible or has_chain:
+    if not pairs:
+        return pairs
+    verdict = _search(kg, question_entities, entity_keys, answer, answer_keys, keys)
+    if verdict is not None and verdict.is_valid:
         return pairs
     from_entities = _hop_counts(kg, entity_keys)
+    if _comparison_possible(question_entities, entity_keys, answer, keys):
+        return [(a, b) for a, b in pairs if a in from_entities or b in from_entities]
     from_answer = _hop_counts(kg, answer_keys)
     far = MAX_HOPS + 1
 
@@ -625,15 +713,17 @@ def _bridging_candidates(
     return [(a, b) for a, b in pairs if nearest(from_entities, a, b) + nearest(from_answer, a, b) <= MAX_HOPS]
 
 
-def _merged_kg(kg: LocalizedKG, a: str, b: str) -> LocalizedKG:
+def _merged_kg(kg: LocalizedKG, a: str, b: str, keys: KeyMemo) -> LocalizedKG:
     """kg with nodes a and b merged under a's label.
 
-    kg.triples are already canonical, so only the merged pair resolves
-    anew; parent aliases that named a or b now name the merged node.
+    kg.triples are already canonical and every surface in them is in
+    `keys`, so the rebuild normalizes nothing and only the merged pair
+    resolves anew; parent aliases that named a or b now name the merged
+    node.
     """
     label = kg.nodes[a]
-    merged = build_kg(list(kg.triples), [AliasGroup(frozenset({label, kg.nodes[b]}), label)])
-    aliases = {m: label if canonical_key(c) in (a, b) else c for m, c in kg.aliases.items()}
+    merged = build_kg(list(kg.triples), [AliasGroup(frozenset({label, kg.nodes[b]}), label)], keys=keys)
+    aliases = {m: label if keys[c] in (a, b) else c for m, c in kg.aliases.items()}
     return replace(merged, aliases={**aliases, **merged.aliases})
 
 
@@ -643,6 +733,8 @@ def classify_noise(
     question: str,
     question_entities: set[str],
     gold_answers: tuple[str, ...],
+    *,
+    keys: KeyMemo | None = None,
 ) -> NoiseLabel:
     """Assign a noise label to an unverifiable instance.
 
@@ -650,33 +742,38 @@ def classify_noise(
     (or a completed comparison) contradicts the gold answer;
     EntityConflation when merging two lexically similar nodes would make
     the instance verifiable; Ambiguous for undecidable comparisons;
-    MissingEvidence otherwise.
+    MissingEvidence otherwise. `keys` is the caller's per-instance memo,
+    if it has one; merged graphs are built and searched through it.
     """
     if verdict.is_valid:
         return NoiseLabel.GROUNDED
 
-    answer = primary_answer(gold_answers)
-    entity_keys = _match_question_entities(kg, question_entities)
-    answer_keys = _answer_node_keys(kg, answer)
+    keys = KeyMemo() if keys is None else keys
+    answer = primary_answer(gold_answers, keys)
+    entity_keys = _match_question_entities(kg, question_entities, keys)
+    answer_keys = _answer_node_keys(kg, answer, keys)
 
     # A boolean comparison that completed but with the opposite outcome.
-    answer_norm = normalize(answer)
+    answer_norm = keys[answer]
     if answer_norm in ("yes", "no"):
         flipped = "no" if answer_norm == "yes" else "yes"
-        if find_grounded_path(kg, question_entities, flipped).is_valid:
+        if find_grounded_path(kg, question_entities, flipped, keys=keys).is_valid:
             return NoiseLabel.WRONG_ANSWER
 
-    gold_in_graph = bool(answer_keys) or any(_answer_node_keys(kg, g) for g in gold_answers if g != answer)
+    gold_in_graph = bool(answer_keys) or any(
+        _answer_node_keys(kg, g, keys) for g in gold_answers if g != answer
+    )
     if (
         entity_keys
         and not gold_in_graph
-        and _complete_contradicting_chain(kg, entity_keys, question, answer)
+        and _complete_contradicting_chain(kg, entity_keys, question, answer, keys)
     ):
         return NoiseLabel.WRONG_ANSWER
 
     if gold_in_graph:
-        for a, b in _bridging_candidates(kg, question_entities, entity_keys, answer, answer_keys):
-            if find_grounded_path(_merged_kg(kg, a, b), question_entities, answer).is_valid:
+        for a, b in _bridging_candidates(kg, question_entities, entity_keys, answer, answer_keys, keys):
+            merged = _merged_kg(kg, a, b, keys)
+            if find_grounded_path(merged, question_entities, answer, keys=keys).is_valid:
                 return NoiseLabel.ENTITY_CONFLATION
 
     # The only invalid Parallel verdict the search returns is the ambiguous one.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hopcheck.kg_graph import AliasGroup, LocalizedKG, Triple, build_kg
+from hopcheck.kg_graph import MAX_HOPS, AliasGroup, LocalizedKG, Triple, build_kg
 
 ENTITY_LABELS = [
     "alpha corp",
@@ -126,6 +126,44 @@ def conflation_case(rng: random.Random) -> tuple[LocalizedKG, set[str], str]:
     else:
         answer = rng.choice(labels)
     return kg, entities, answer
+
+
+FAR_CLUSTER_VALUES = ["german", "1888"]
+
+
+def parallel_far_case(rng: random.Random) -> tuple[LocalizedKG, set[str], str]:
+    """A comparison of "north tower" and "south gate" with a yes/no or
+    compared-entity answer, so a Parallel verdict is possible.
+
+    "north tower" reaches its attribute only through a look-alike pair: a
+    chain of 1 to MAX_HOPS + 2 edges ends at "silver gate one", and its
+    twin "silver gate two" holds the attribute, so merging the pair gives
+    a branch one edge longer than the chain. A cluster of look-alike
+    nodes lies more than MAX_HOPS edges from both compared entities: on
+    its own, or at the end of a longer chain from one of them.
+    """
+    first, second = "north tower", "south gate"
+    own, other = rng.sample(ATTRIBUTE_LABELS, 2)
+    chain = [first, *[f"waypoint {i}" for i in range(1, rng.randint(1, MAX_HOPS + 2))], "silver gate one"]
+    triples = [Triple(a, "next to", b, 1) for a, b in zip(chain, chain[1:])]
+    predicate = rng.choice(COMPARISON_PREDICATES)
+    triples += [
+        Triple("silver gate two", predicate, own, 2),
+        Triple(second, predicate if rng.random() < 0.7 else rng.choice(COMPARISON_PREDICATES), other, 3),
+    ]
+    stem = rng.choice(CONFLATION_STEMS)
+    cluster = [stem + s for s in rng.sample(CONFLATION_SUFFIXES, rng.randint(2, 4))]
+    triples += [
+        Triple(a, "linked to", b, 4) for i, a in enumerate(cluster) for b in cluster[i + 1 :] if rng.random() < 0.5
+    ]
+    triples += [Triple(c, rng.choice(COMPARISON_PREDICATES), rng.choice(FAR_CLUSTER_VALUES), 4) for c in cluster]
+    if rng.random() < 0.5:
+        start = rng.choice((first, second))
+        road = [start, *[f"milestone {i}" for i in range(1, rng.randint(MAX_HOPS + 1, MAX_HOPS + 2))], cluster[0]]
+        triples += [Triple(a, "next to", b, 5) for a, b in zip(road, road[1:])]
+    kg = build_kg(triples, [])
+    answer = rng.choice(["yes", "no", first, second])
+    return kg, {first, second}, answer
 
 
 def question_and_golds(

@@ -18,7 +18,6 @@ from hopcheck.kg_graph import (
     MAX_HOPS,
     LocalizedKG,
     answer_matches,
-    canonical_key,
     parse_orderable,
     predicate_class,
 )
@@ -29,7 +28,7 @@ def _graph_of(kg: LocalizedKG) -> nx.MultiGraph:
     g = nx.MultiGraph()
     g.add_nodes_from(kg.adjacency)
     for i, e in enumerate(kg.edges):
-        g.add_edge(canonical_key(e.head), canonical_key(e.tail), key=str(i), relation=e.relation)
+        g.add_edge(normalize(e.head), normalize(e.tail), key=str(i), relation=e.relation)
     return g
 
 
@@ -37,10 +36,10 @@ def _matched_entities(kg: LocalizedKG, question_entities: set[str]) -> set[str]:
     member = {}
     for grp in kg.resolution:
         for m in grp.members:
-            member[canonical_key(m)] = canonical_key(grp.canonical)
+            member[normalize(m)] = normalize(grp.canonical)
     matched = set()
     for ent in question_entities:
-        key = member.get(canonical_key(ent), canonical_key(ent))
+        key = member.get(normalize(ent), normalize(ent))
         if key in kg.adjacency:
             matched.add(key)
     return matched

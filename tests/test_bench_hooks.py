@@ -97,6 +97,48 @@ def test_tracer_attaches_and_restores(tracer):
     assert counts["extraction_pipeline.glean.fresh_rounds"] == 0
 
 
+def test_tracer_counts_one_verify_item_with_a_planted_conflation(tracer):
+    """A comparison whose second entity holds its birth date only on a
+    look-alike node, beside a look-alike cluster no compared entity
+    reaches: the graph is built once, plus once for the one merge kept,
+    and searched once per gold answer plus once per kept merge."""
+    from hopcheck import cli
+
+    record = {
+        "id": "planted-conflation",
+        "question": "Who was born first, Ada Lovelace or Lorenzo Costa?",
+        "question_entities": ["Ada Lovelace", "Lorenzo Costa"],
+        "gold_answers": ["Lorenzo Costa"],
+        "gold_passages": [{"title": "Ada Lovelace", "body": "Born 1815."},
+                          {"title": "Lorenzo Costa", "body": "Born 1460 in Ferrara."}],
+        "extraction": [
+            json.dumps([["Ada Lovelace", "birth_date", "1815"],
+                        ["amber field north", "next to", "amber field south"],
+                        ["amber field south", "next to", "amber field east"]]),
+            json.dumps([["Lorenzo Costa", "born in", "Ferrara"],
+                        ["Lorenzo Costa the Elder", "date of birth", "1460"]]),
+        ],
+        "resolution": "[]",
+    }
+    instance = build_instance(record)
+    before = _bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        report = cli.verify_instance(build_verify_backend(record), instance, mode="deterministic", model_id="m")
+        t.end_pass()
+    finally:
+        t.uninstall()
+    _assert_restored(before)
+    assert report.noise_label.value == "EntityConflation"
+    calls = t.summary()["details"]["span_calls_per_pass"]
+    kept_merges = 1  # the Lorenzo Costa pair; the three amber field pairs are too far to matter
+    assert calls["kg_graph.build_kg"] == 1 + kept_merges
+    # No yes/no gold answer, so no flipped search.
+    assert calls["kg_graph.find_grounded_path"] <= len(instance.gold_answers) + kept_merges
+    assert calls["kg_graph.classify_noise"] == 1
+
+
 def _verdict(error_type: str) -> str:
     return json.dumps({"error_type": error_type, "diagnosis": "d", "guidance": "g"})
 

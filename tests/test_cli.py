@@ -452,6 +452,25 @@ def test_synthesize_checks_refined_rows_before_any_backend_call(tmp_path, capsys
     assert backend.calls == 0
 
 
+@pytest.mark.parametrize("position", [1.9, True, "1"])
+def test_synthesize_refined_position_must_be_a_json_integer(tmp_path, capsys, monkeypatch, position):
+    backend = ScriptedBackend(responder=_synthesis_teacher([]))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a")])
+    refined = tmp_path / "refined.jsonl"
+    write_jsonl(refined, [{
+        "instance_id": "a", "position": position,
+        "feedback": {"error_type": "Unsupported", "diagnosis": "d", "guidance": "g"},
+        "step": "Step 1: a dubious fact from passage 2 (Attribution)",
+    }])
+    assert main(["synthesize", "--in", corpus, "--total", "3", "--refined", str(refined),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {refined}: record 0: refined record invalid: position {position!r} is not an integer\n"
+    )
+    assert backend.calls == 0
+
+
 def test_synthesize_failed_backend_call_is_one_error_line(tmp_path, capsys):
     corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
     cfg = tmp_path / "cfg.json"

@@ -204,6 +204,18 @@ def test_writers_format(tmp_path):
     assert (tmp_path / "obj.json").read_text("utf-8") == '{\n  "a": "é",\n  "b": [\n    1\n  ]\n}\n'
 
 
+def test_write_jsonl_writes_the_bytes_of_json_dumps(tmp_path):
+    rows = [
+        {"zeta": "Zoë Saldaña", "alpha": [1, [2.5, "Straße"], []], "mid": {"y": None, "b": True}},
+        {"日本": "東京", "ascii": "plain", "esc": "tab\tquote\" back\\ ctrl\u0001 line\u2028"},
+        ["not", "a", {"dict": -0.0}],
+    ]
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, rows)
+    expected = "".join(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_read_jsonl_skips_blank_lines_and_names_bad_line(tmp_path):
     path = tmp_path / "runs.jsonl"
     path.write_text('{"a": 1}\n\n{"b": 2}\n')

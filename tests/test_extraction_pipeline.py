@@ -109,7 +109,6 @@ def test_verify_normalizes_each_string_once_before_the_search(monkeypatch):
 
     real_build_kg = extraction_pipeline.build_kg
     monkeypatch.setattr(kg_graph, "normalize", counting_normalize)
-    monkeypatch.setattr(extraction_pipeline, "normalize", counting_normalize)
     monkeypatch.setattr(extraction_pipeline, "build_kg", build_then_mark)
     instance = _two_passage_instance(
         "Where was the spouse of Marie Curie born?", "Paris", ["Marie Curie"]
@@ -131,6 +130,46 @@ def test_verify_normalizes_each_string_once_before_the_search(monkeypatch):
     assert report.counters["gleaned_triples"] == 1
     assert before_search
     assert len(before_search) <= len(set(before_search)), sorted(before_search)
+
+
+def test_verify_normalizes_each_string_once_in_the_whole_instance(monkeypatch):
+    """The search for each gold answer, the noise label and the merged
+    graph's rebuild and search share the instance's memo too: no string is
+    normalized twice from the first extraction to the label."""
+    calls = []
+
+    def counting_normalize(text):
+        calls.append(text)
+        return normalize(text)
+
+    merges = []
+    real_merged_kg = kg_graph._merged_kg
+
+    def merged_kg(kg, a, b, keys):
+        merges.append((a, b))
+        return real_merged_kg(kg, a, b, keys)
+
+    monkeypatch.setattr(kg_graph, "normalize", counting_normalize)
+    monkeypatch.setattr(kg_graph, "_merged_kg", merged_kg)
+    instance = build_instance({
+        "id": "q1",
+        "question": "Who was born first, Ada Lovelace or Lorenzo Costa?",
+        "gold_answers": ["Lorenzo Costa", "L. Costa"],
+        "question_entities": ["Ada Lovelace", "Lorenzo Costa"],
+        "gold_passages": [{"title": "P1", "body": "First."}, {"title": "P2", "body": "Second."}],
+    })
+    backend = _fifo(
+        json.dumps([["Ada Lovelace", "birth_date", "1815"], ["Lorenzo Costa", "born in", "Ferrara"]]),
+        json.dumps([["Lorenzo Costa the Elder", "date of birth", "1460"]]),
+        "[]", "[]", "[]",
+    )
+    report = verify_instance(backend, instance)
+    assert backend.calls == 5
+    assert not report.verdict.is_valid
+    # The comparison holds once the two Lorenzo Costa nodes are one.
+    assert report.noise_label is NoiseLabel.ENTITY_CONFLATION
+    assert merges == [("lorenzo costa", "lorenzo costa elder")]
+    assert len(calls) == len(set(calls)), sorted(calls)
 
 
 def test_extract_flags_unparseable_passage():

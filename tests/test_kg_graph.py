@@ -17,7 +17,6 @@ from hopcheck.kg_graph import (
     Triple,
     answer_matches,
     build_kg,
-    canonical_key,
     classify_noise,
     find_grounded_path,
     parse_orderable,
@@ -25,7 +24,7 @@ from hopcheck.kg_graph import (
 )
 from hopcheck.textnorm import normalize
 import kg_reference
-from kg_random import conflation_case, question_and_golds, random_case
+from kg_random import conflation_case, parallel_far_case, question_and_golds, random_case
 from path_oracle import oracle_is_valid
 
 
@@ -87,7 +86,7 @@ def test_build_kg_one_edge_per_relation_key():
     # Gleaning and predicate_class read "_" as a space; so does the edge dedup.
     kg = _kg([("Acme Works", "founded_by", "John Smith", 1), ("Acme Works", "founded by", "John Smith", 2)])
     assert [(e.relation, e.sources) for e in kg.edges] == [("founded_by", (1, 2))]
-    assert len(kg.adjacency[canonical_key("Acme Works")]) == 1
+    assert len(kg.adjacency[normalize("Acme Works")]) == 1
 
 
 def test_build_kg_joins_no_triples_through_an_empty_key():
@@ -113,7 +112,7 @@ def test_build_kg_ignores_alias_members_that_name_no_entity():
     group = AliasGroup(frozenset({"The", "he", "Alpha Corp"}), "Alpha Corp")
     kg = build_kg([Triple("The", "owns", "Beta Inc", 1), Triple("he", "founded", "Gamma Ltd", 2)], [group])
     assert kg.edges == () and kg.nodes == {}
-    assert set(kg.aliases) == {canonical_key("Alpha Corp")}
+    assert set(kg.aliases) == {normalize("Alpha Corp")}
     assert not find_grounded_path(kg, {"Alpha Corp"}, "Gamma Ltd").is_valid
 
 
@@ -123,8 +122,8 @@ def test_build_kg_alias_merging():
         [("Paul Joseph", "judge on", "Dancing Stars", 1), ("Paul Mercurio", "born in", "Sydney", 2)],
         [group],
     )
-    assert canonical_key("Paul Joseph") not in kg.adjacency
-    assert kg.degree(canonical_key("Paul Mercurio")) == 2
+    assert normalize("Paul Joseph") not in kg.adjacency
+    assert kg.degree(normalize("Paul Mercurio")) == 2
 
 
 def test_build_kg_normalizes_each_alias_free_string_once(monkeypatch):
@@ -151,7 +150,7 @@ def test_merged_kg_equals_rebuild_from_merged_alias_groups():
             kg, entities, answer = generate(rng)
             question_and_golds(rng, entities, answer, kg)
             for a, b in kg_graph._conflation_candidates(kg):
-                got = kg_graph._merged_kg(kg, a, b)
+                got = kg_graph._merged_kg(kg, a, b, kg_graph.KeyMemo())
                 want = kg_reference._merged_kg(kg, a, b)
                 for name in ("nodes", "edges", "adjacency", "aliases", "triples"):
                     assert getattr(got, name) == getattr(want, name), (name, a, b, kg.edges)
@@ -377,15 +376,21 @@ def test_comparison_branch_respects_max_hops():
     assert verdict.to_dict() == kg_reference.find_grounded_path(kg, entities, "Film One").to_dict()
 
 
-def _river_stone_kg(words):
-    """`river stone <word>` nodes joined pairwise at probability 0.3, and the
-    answer on a separate edge: every pair of those labels is a conflation
-    candidate, and none of them is near the answer."""
+def _river_stone_rows(words):
+    """`river stone <word>` nodes joined pairwise at probability 0.3: every
+    pair of those labels is a conflation candidate."""
     rng = random.Random(20)
     labels = [f"river stone {w}" for w in words]
     rows = [
         (a, "linked to", b, 1) for i, a in enumerate(labels) for b in labels[i + 1 :] if rng.random() < 0.3
     ]
+    return rows, labels
+
+
+def _river_stone_kg(words):
+    """The river stone cluster and the answer on a separate edge, so none of
+    the cluster is near the answer."""
+    rows, labels = _river_stone_rows(words)
     return _kg(rows + [("lonely tower", "located in", "far city", 1)]), labels
 
 
@@ -423,9 +428,9 @@ def merges(monkeypatch):
     calls = []
     merged_kg = kg_graph._merged_kg
 
-    def counting(kg, a, b):
+    def counting(kg, a, b, keys):
         calls.append((a, b))
-        return merged_kg(kg, a, b)
+        return merged_kg(kg, a, b, keys)
 
     monkeypatch.setattr(kg_graph, "_merged_kg", counting)
     return calls
@@ -454,7 +459,7 @@ def test_conflation_rebuilds_only_the_bridging_pair(merges):
     assert not verdict.is_valid
     label = classify_noise(verdict, kg, f"Which city does {ring[0]} lead to?", {ring[0]}, ("far city",))
     assert label is NoiseLabel.ENTITY_CONFLATION
-    assert merges == [(canonical_key("silver gate one"), canonical_key("silver gate two"))]
+    assert merges == [(normalize("silver gate one"), normalize("silver gate two"))]
 
 
 @pytest.mark.parametrize(
@@ -483,6 +488,88 @@ def test_forced_invalid_verdict_over_an_existing_chain_rebuilds_far_pairs(merges
     assert find_grounded_path(kg, entities, golds[0]).is_valid
     forced = PathVerdict(False, (), PathPattern.SEQUENTIAL, "forced")
     question = "Who founded Acme Works?"
+    label = classify_noise(forced, kg, question, entities, golds)
+    assert label is kg_reference.classify_noise(forced, kg, question, entities, golds)
+    assert label is NoiseLabel.ENTITY_CONFLATION
+    assert len(merges) == 1
+
+
+def test_comparison_beside_a_far_60_node_cluster_rebuilds_no_pair(merges):
+    # A comparison verdict is possible, but no river stone node is within
+    # MAX_HOPS of either mill, so none of the 1,770 pairs is rebuilt;
+    # rebuilding each one took about 7 s.
+    rows, _ = _river_stone_rows([f"w{i}" for i in range(60)])
+    kg = _kg(rows + [("old mill", "built in", "1700", 2), ("new mill", "located in", "Oslo", 3)])
+    entities, golds = {"old mill", "new mill"}, ("old mill",)
+    start = time.perf_counter()
+    verdict = find_grounded_path(kg, entities, golds[0])
+    label = classify_noise(verdict, kg, "Which is older, old mill or new mill?", entities, golds)
+    assert time.perf_counter() - start < 1.0
+    assert label is NoiseLabel.MISSING_EVIDENCE
+    assert merges == []
+
+
+@pytest.mark.parametrize(
+    "chain_hops, expected, rebuilds",
+    [
+        (MAX_HOPS - 1, NoiseLabel.ENTITY_CONFLATION, 1),
+        (MAX_HOPS, NoiseLabel.MISSING_EVIDENCE, 1),
+        (MAX_HOPS + 1, NoiseLabel.MISSING_EVIDENCE, 0),
+    ],
+)
+def test_comparison_conflation_respects_max_hops(merges, chain_hops, expected, rebuilds):
+    # "old mill" reaches "silver gate one" along chain_hops edges, and its
+    # look-alike holds the build date: the merged branch is one edge longer.
+    chain = ["old mill", *[f"waypoint {i}" for i in range(1, chain_hops)], "silver gate one"]
+    rows = [(a, "next to", b, 1) for a, b in zip(chain, chain[1:])]
+    kg = _kg(rows + [("silver gate two", "built in", "1700", 2), ("new mill", "built in", "1800", 3)])
+    entities, golds = {"old mill", "new mill"}, ("old mill",)
+    verdict = find_grounded_path(kg, entities, golds[0])
+    question = "Which is older, old mill or new mill?"
+    label = classify_noise(verdict, kg, question, entities, golds)
+    assert label is expected
+    assert label is kg_reference.classify_noise(verdict, kg, question, entities, golds)
+    assert len(merges) == rebuilds
+
+
+def test_comparisons_beside_far_clusters_match_exhaustive_reference():
+    """Verdicts and labels equal the reference's where a comparison is
+    possible and a look-alike pair lies near, at or beyond MAX_HOPS of the
+    compared entities, for the search's verdict and for a forced invalid
+    one; a bound that drops near pairs fails here."""
+    labels = Counter()
+    rng = random.Random(13)
+    for _ in range(500):
+        kg, entities, answer = parallel_far_case(rng)
+        question, golds = question_and_golds(rng, entities, answer, kg)
+        want = kg_reference.find_grounded_path(kg, entities, answer)
+        got = find_grounded_path(kg, entities, answer)
+        assert got.to_dict() == want.to_dict(), (entities, answer, kg.edges)
+        label = classify_noise(got, kg, question, entities, golds)
+        assert label is kg_reference.classify_noise(want, kg, question, entities, golds), (
+            question, entities, golds, kg.edges
+        )
+        labels[label] += 1
+        forced = PathVerdict(False, (), PathPattern.SEQUENTIAL, "forced")
+        assert classify_noise(forced, kg, question, entities, golds) is kg_reference.classify_noise(
+            forced, kg, question, entities, golds
+        ), (question, entities, golds, kg.edges)
+    assert set(labels) == set(NoiseLabel)
+    assert labels[NoiseLabel.ENTITY_CONFLATION] > 30
+
+
+def test_forced_invalid_verdict_over_an_existing_comparison_rebuilds_far_pairs(merges):
+    # Both mills have a build date, so the graph verifies; merging the far
+    # pair leaves the comparison intact, so its merged graph verifies too.
+    kg = _kg([
+        ("old mill", "built in", "1700", 1),
+        ("new mill", "built in", "1800", 2),
+        ("amber field north", "next to", "amber field south", 3),
+    ])
+    entities, golds = {"old mill", "new mill"}, ("old mill",)
+    assert find_grounded_path(kg, entities, golds[0]).pattern is PathPattern.PARALLEL
+    forced = PathVerdict(False, (), PathPattern.SEQUENTIAL, "forced")
+    question = "Which is older, old mill or new mill?"
     label = classify_noise(forced, kg, question, entities, golds)
     assert label is kg_reference.classify_noise(forced, kg, question, entities, golds)
     assert label is NoiseLabel.ENTITY_CONFLATION
