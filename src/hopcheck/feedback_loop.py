@@ -29,7 +29,6 @@ from .step_grammar import (
     StepKind,
     Trajectory,
     _ANSWER_RE,
-    append_step,
     parse_step,
     render_step,
     render_trajectory,
@@ -209,15 +208,15 @@ def update_ledger(
 class RunRecord:
     config: LoopConfig
     trajectory: Trajectory
-    answer: str | None  # present iff Terminated or AnswerForced occurred
     events: tuple[LoopEvent, ...]
     ledger: CacheLedger
     flags: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        closed = any(e.kind in ("terminated", "answer_forced") for e in self.events)
-        if (self.answer is not None) != closed:
-            raise ValueError("answer present iff the run terminated or was forced")
+    @property
+    def answer(self) -> str | None:
+        """The detail of the run's terminated event; None when the run
+        never terminated."""
+        return next((e.detail for e in reversed(self.events) if e.kind == "terminated"), None)
 
     @property
     def instance_id(self) -> str:
@@ -475,40 +474,26 @@ def run_instance(
                 try:
                     parsed = parse_step(resp.text, expected_index=slot)
                 except StepFormatError as exc:
-                    feedback = _format_feedback_for(str(exc), slot)
-                    events.append(
-                        LoopEvent(
-                            "feedback_given", slot, attempt,
-                            detail=feedback.diagnosis,
-                            error_type=feedback.error_type.value,
+                    fb, rejection = _format_feedback_for(str(exc), slot), {"detail": exc.code.value}
+                else:
+                    step = last_step = parsed.step
+                    if parsed.extra_lines:
+                        flags.append(f"extra_step_lines_slot_{slot}")
+                    fb, flag = None, ""
+                    if cfg.mode is not FeedbackMode.NO_FEEDBACK:
+                        fb, flag = _evaluate(
+                            evaluator, cfg, instance, passages, previous_steps, step, tracker
                         )
-                    )
-                    events.append(LoopEvent("step_rejected", slot, attempt, detail=exc.code.value))
-                    continue
-                step = parsed.step
-                last_step = step
-                if parsed.extra_lines:
-                    flags.append(f"extra_step_lines_slot_{slot}")
-
-                if cfg.mode is FeedbackMode.NO_FEEDBACK:
-                    accepted = step
-                    events.append(LoopEvent("step_accepted", slot, attempt))
-                    break
-
-                fb, flag = _evaluate(
-                    evaluator, cfg, instance, passages, previous_steps, step, tracker
-                )
-                if fb is None:
-                    # Unusable evaluator verdict: accept rather than burn
-                    # retries on a fault the generator cannot fix.
-                    flags.append(flag)
-                    accepted = step
-                    events.append(LoopEvent("step_accepted", slot, attempt, detail=flag))
-                    break
-                if fb.error_type is ErrorType.CORRECT:
-                    accepted = step
-                    events.append(LoopEvent("step_accepted", slot, attempt))
-                    break
+                    # An unusable evaluator verdict (no feedback, flagged) is
+                    # accepted rather than burning retries on a fault the
+                    # generator cannot fix.
+                    if fb is None or fb.error_type is ErrorType.CORRECT:
+                        if flag:
+                            flags.append(flag)
+                        accepted = step
+                        events.append(LoopEvent("step_accepted", slot, attempt, detail=flag))
+                        break
+                    rejection = {"error_type": fb.error_type.value}
                 feedback = fb
                 events.append(
                     LoopEvent(
@@ -516,32 +501,25 @@ def run_instance(
                         detail=fb.diagnosis, error_type=fb.error_type.value,
                     )
                 )
-                events.append(
-                    LoopEvent("step_rejected", slot, attempt, error_type=fb.error_type.value)
-                )
+                events.append(LoopEvent("step_rejected", slot, attempt, **rejection))
 
             if accepted is None:
                 events.append(LoopEvent("retry_exhausted", slot, cfg.max_retries))
                 flags.append(f"retry_exhausted_slot_{slot}")
                 accepted = last_step if last_step is not None else _synthesize_step(last_raw, slot)
-            traj = append_step(traj, accepted)
+            traj = Trajectory(traj.instance_id, traj.steps + (accepted,))
 
-        answer: str | None = None
-        if traj.terminated:
-            answer = traj.answer
-            events.append(LoopEvent("terminated", len(traj.steps), detail=answer or ""))
-        else:
+        answer = traj.answer
+        if answer is None:
             answer = _force_answer(generator, cfg, instance, passages, traj, tracker)
             events.append(LoopEvent("answer_forced", len(traj.steps), detail=answer))
-            events.append(LoopEvent("terminated", len(traj.steps), detail=answer))
+        events.append(LoopEvent("terminated", len(traj.steps), detail=answer))
     except TransportError as exc:  # backend hard failure: keep the partial record
         flags.append(f"aborted:{type(exc).__name__}")
-        answer = None
 
     return RunRecord(
         config=cfg,
         trajectory=traj,
-        answer=answer,
         events=tuple(events),
         ledger=tracker.ledger,
         flags=tuple(flags),

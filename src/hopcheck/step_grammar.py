@@ -37,10 +37,6 @@ class StepFormatError(ValueError):
         self.code = code
 
 
-class SequencingError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ReasoningStep:
     index: int
@@ -185,15 +181,6 @@ def render_step(step: ReasoningStep) -> str:
     if step.kind is StepKind.FINAL_ANSWER:
         return f"Step {step.index}: ####ANSWER: {step.answer_value} (Final Answer)"
     return f"Step {step.index}: {step.text} ({step.kind.value})"
-
-
-def append_step(traj: Trajectory, step: ReasoningStep) -> Trajectory:
-    if traj.terminated:
-        raise SequencingError("cannot append to a terminated trajectory")
-    expected = len(traj.steps) + 1
-    if step.index != expected:
-        raise SequencingError(f"expected step index {expected}, got {step.index}")
-    return Trajectory(traj.instance_id, traj.steps + (step,))
 
 
 def render_trajectory(steps: tuple[ReasoningStep, ...]) -> str:

@@ -15,7 +15,6 @@ from hopcheck.feedback_loop import (
     LoopConfig,
     LoopEvent,
     RoleLedger,
-    RunRecord,
     aggregate_runs,
     run_corpus,
     run_instance,
@@ -25,7 +24,7 @@ from hopcheck.feedback_loop import (
     update_ledger,
 )
 from hopcheck.llm_client import ChatRequest, ChatResponse, ScriptedBackend, Usage
-from hopcheck.step_grammar import StepKind, Trajectory
+from hopcheck.step_grammar import StepKind
 from hopcheck.textnorm import rough_token_count
 
 
@@ -386,18 +385,6 @@ def test_ledger_tracker_matches_reference(data):
         tracker.record(role, prompt, usage)
         reference.record(role, prompt, usage)
         assert tracker.ledger == reference.ledger
-
-
-def test_run_record_answer_iff_closed():
-    cfg = LoopConfig()
-    with pytest.raises(ValueError):
-        RunRecord(
-            config=cfg,
-            trajectory=Trajectory("x"),
-            answer="oops",  # no terminated/answer_forced event
-            events=(),
-            ledger=CacheLedger(),
-        )
 
 
 def test_score_delta():

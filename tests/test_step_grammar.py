@@ -5,12 +5,10 @@ import pytest
 from hopcheck.step_grammar import (
     ParsedStep,
     ReasoningStep,
-    SequencingError,
     StepErrorCode,
     StepFormatError,
     StepKind,
     Trajectory,
-    append_step,
     parse_step,
     render_step,
     render_trajectory,
@@ -145,17 +143,18 @@ def test_trajectory_invariants():
 
 
 def test_append_step_sequencing():
-    traj = Trajectory("q1")
-    traj = append_step(traj, _steps(StepKind.LOGICAL)[0])
+    # The loop extends a trajectory by building a new one from the old
+    # steps plus the accepted step; the Trajectory checks do the sequencing.
+    traj = Trajectory("q1", _steps(StepKind.LOGICAL))
     assert not traj.terminated
-    with pytest.raises(SequencingError):
-        append_step(traj, ReasoningStep(3, StepKind.LOGICAL, "skips"))
-    traj = append_step(
-        traj, ReasoningStep(2, StepKind.FINAL_ANSWER, "####ANSWER: x", answer_value="x")
+    with pytest.raises(ValueError):
+        Trajectory("q1", traj.steps + (ReasoningStep(3, StepKind.LOGICAL, "skips"),))
+    traj = Trajectory(
+        "q1", traj.steps + (ReasoningStep(2, StepKind.FINAL_ANSWER, "####ANSWER: x", answer_value="x"),)
     )
     assert traj.terminated
-    with pytest.raises(SequencingError):
-        append_step(traj, ReasoningStep(3, StepKind.LOGICAL, "too late"))
+    with pytest.raises(ValueError):
+        Trajectory("q1", traj.steps + (ReasoningStep(3, StepKind.LOGICAL, "too late"),))
 
 
 def test_render_trajectory():
