@@ -62,9 +62,6 @@ class LoopConfig:
             raise ValueError("max_steps (K) must be >= 1")
         if self.max_retries < 0:
             raise ValueError("max_retries (N) must be >= 0")
-        if self.mode is FeedbackMode.SELF_FEEDBACK:
-            # Self-feedback means the generator judges its own steps.
-            object.__setattr__(self, "evaluator_model", self.generator_model)
 
 
 EVENT_KINDS = (
@@ -295,6 +292,16 @@ def _format_feedback_for(code_message: str, slot: int) -> Feedback:
     )
 
 
+def _citation_feedback(cited: int, passage_count: int, slot: int) -> Feedback:
+    # A citation of a passage the instance does not have backs nothing: an
+    # Attribution fault, which the loop finds without asking the evaluator.
+    return Feedback(
+        error_type=ErrorType.UNSUPPORTED,
+        diagnosis=f"Step {slot} cites passage {cited}, but the passages are numbered 1 to {passage_count}.",
+        guidance=f"Cite the one passage, numbered 1 to {passage_count}, that states the fact.",
+    )
+
+
 def _common_prefix_len(a: str, b: str) -> int:
     """Length of the longest common prefix of a and b.
 
@@ -369,7 +376,7 @@ class _LedgerTracker:
 
 def _evaluate(
     evaluator: Backend,
-    cfg: LoopConfig,
+    model_id: str,
     instance: QAInstance,
     passages: str,
     previous_steps: str,
@@ -379,7 +386,7 @@ def _evaluate(
     """One evaluator call on `step` after the rendered `previous_steps`;
     (feedback, flag). None feedback = unusable verdict."""
     prompt, resp = ask(
-        evaluator, "evaluation", cfg.evaluator_model,
+        evaluator, "evaluation", model_id,
         question=instance.question,
         passages=passages,
         previous_steps=previous_steps,
@@ -442,9 +449,17 @@ def run_instance(
     step numbering required by the step prompt. The trajectory is fixed
     within a slot, so it is rendered once per slot for every attempt and
     evaluation.
+
+    Before any evaluator call, in every mode, the loop itself rejects a
+    completion that does not parse as a step and an Attribution step
+    citing a passage the instance does not have; neither is kept as the
+    slot's last attempt. In self mode the generator judges its own steps,
+    on its own backend and under its own model id.
     """
-    if evaluator is None:
+    self_feedback = cfg.mode is FeedbackMode.SELF_FEEDBACK
+    if self_feedback or evaluator is None:
         evaluator = generator
+    evaluator_model = cfg.generator_model if self_feedback else cfg.evaluator_model
     tracker = _LedgerTracker()
     passages = render_passages(instance)
     traj = Trajectory(instance_id=instance.id)
@@ -476,24 +491,31 @@ def run_instance(
                 except StepFormatError as exc:
                     fb, rejection = _format_feedback_for(str(exc), slot), {"detail": exc.code.value}
                 else:
-                    step = last_step = parsed.step
+                    step = parsed.step
                     if parsed.extra_lines:
                         flags.append(f"extra_step_lines_slot_{slot}")
                     fb, flag = None, ""
-                    if cfg.mode is not FeedbackMode.NO_FEEDBACK:
-                        fb, flag = _evaluate(
-                            evaluator, cfg, instance, passages, previous_steps, step, tracker
-                        )
-                    # An unusable evaluator verdict (no feedback, flagged) is
-                    # accepted rather than burning retries on a fault the
-                    # generator cannot fix.
-                    if fb is None or fb.error_type is ErrorType.CORRECT:
-                        if flag:
-                            flags.append(flag)
-                        accepted = step
-                        events.append(LoopEvent("step_accepted", slot, attempt, detail=flag))
-                        break
-                    rejection = {"error_type": fb.error_type.value}
+                    cited = step.cited_passage
+                    if cited is not None and not 1 <= cited <= len(instance.passages):
+                        fb = _citation_feedback(cited, len(instance.passages), slot)
+                        rejection = {"detail": "cited_passage_out_of_range"}
+                    else:
+                        last_step = step
+                        if cfg.mode is not FeedbackMode.NO_FEEDBACK:
+                            fb, flag = _evaluate(
+                                evaluator, evaluator_model, instance, passages, previous_steps,
+                                step, tracker,
+                            )
+                        # An unusable evaluator verdict (no feedback, flagged)
+                        # is accepted rather than burning retries on a fault
+                        # the generator cannot fix.
+                        if fb is None or fb.error_type is ErrorType.CORRECT:
+                            if flag:
+                                flags.append(flag)
+                            accepted = step
+                            events.append(LoopEvent("step_accepted", slot, attempt, detail=flag))
+                            break
+                        rejection = {"error_type": fb.error_type.value}
                 feedback = fb
                 events.append(
                     LoopEvent(

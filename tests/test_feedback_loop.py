@@ -194,10 +194,63 @@ def test_mode_none_skips_evaluator():
 
 
 def test_self_mode_forces_evaluator_model():
-    cfg = LoopConfig(mode=FeedbackMode.SELF_FEEDBACK, generator_model="m1", evaluator_model="m2")
-    assert cfg.evaluator_model == "m1"
-    cfg = LoopConfig(mode=FeedbackMode.EXTERNAL_FEEDBACK, generator_model="m1", evaluator_model="m2")
-    assert cfg.evaluator_model == "m2"
+    # Self-feedback evaluates on the generator's backend under the
+    # generator's model id, even with a separate evaluator configured.
+    replies = iter(["Step 1: ####ANSWER: Paris (Final Answer)", _correct()])
+    requests = []
+
+    def generator(req):
+        requests.append(req)
+        return ChatResponse(text=next(replies))
+
+    def evaluator(req):
+        raise AssertionError("self mode sent a request to the evaluator backend")
+
+    cfg = LoopConfig(
+        max_steps=1, max_retries=0, mode=FeedbackMode.SELF_FEEDBACK,
+        generator_model="m1", evaluator_model="m2",
+    )
+    rec = run_instance(
+        cfg, make_instance(), ScriptedBackend(responder=generator), ScriptedBackend(responder=evaluator)
+    )
+    assert rec.answer == "Paris"
+    assert rec.evaluator_calls == 1
+    assert [r.model_id for r in requests] == ["m1", "m1"]
+    assert "Precision Reasoning Evaluator" in requests[1].messages[0].content
+
+
+@pytest.mark.parametrize("cited", [0, 11, 99])
+@pytest.mark.parametrize("mode", list(FeedbackMode))
+def test_out_of_range_citation_rejected_before_the_evaluator(mode, cited):
+    bad = f"Step 1: the fact is in passage {cited} (Attribution)"
+    good = "Step 1: the fact is in passage 2 (Attribution)"
+    final = "Step 2: ####ANSWER: Paris (Final Answer)"
+    generator, evaluator = {
+        FeedbackMode.NO_FEEDBACK: (fifo(bad, good, final), fifo()),
+        FeedbackMode.EXTERNAL_FEEDBACK: (fifo(bad, good, final), fifo(_correct(), _correct())),
+        FeedbackMode.SELF_FEEDBACK: (fifo(bad, good, _correct(), final, _correct()), fifo()),
+    }[mode]
+    rec = run_instance(LoopConfig(max_steps=3, max_retries=1, mode=mode), make_instance(), generator, evaluator)
+    assert not rec.aborted and rec.answer == "Paris"
+    assert rec.evaluator_calls == (0 if mode is FeedbackMode.NO_FEEDBACK else 2)
+    assert [(s.kind, s.cited_passage) for s in rec.trajectory.steps] == [
+        (StepKind.ATTRIBUTION, 2), (StepKind.FINAL_ANSWER, None),
+    ]
+    rejected = [e for e in rec.events if e.kind in ("feedback_given", "step_rejected")]
+    assert [(e.kind, e.slot, e.attempt, e.detail, e.error_type) for e in rejected] == [
+        ("feedback_given", 1, 0, rejected[0].detail, "Unsupported"),
+        ("step_rejected", 1, 0, "cited_passage_out_of_range", ""),
+    ]
+    assert f"passage {cited}" in rejected[0].detail
+
+    # The rejected step is not kept as the slot's last attempt.
+    rec = run_instance(
+        LoopConfig(max_steps=1, max_retries=0, mode=mode), make_instance(),
+        fifo(bad, "####ANSWER: Paris"), fifo(),
+    )
+    assert not rec.aborted and rec.answer == "Paris"
+    assert rec.trajectory.steps[0].kind is StepKind.LOGICAL
+    assert rec.flags == ("retry_exhausted_slot_1",)
 
 
 def test_config_validation():
