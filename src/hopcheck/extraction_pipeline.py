@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .data_model import QAInstance
@@ -30,6 +30,7 @@ from .kg_graph import (
     parse_orderable,
     primary_answer,
     relation_key,
+    ungrounded_reason,
 )
 from .llm_client import (
     Backend,
@@ -293,9 +294,10 @@ def verify_instance(
     """Full single-instance verification pipeline.
 
     deterministic: graph search decides validity. llm: a model reads the
-    normalized triples and decides. cross-check: both run and any
-    validity disagreement is recorded; the deterministic verdict is
-    primary. A failed backend call leaves the instance unverified, with an
+    normalized triples and decides; a valid verdict whose path the graph
+    does not hold (see ungrounded_reason) becomes invalid and is flagged
+    `llm_path_ungrounded`. cross-check: both run and any validity
+    disagreement is recorded; the deterministic verdict is primary. A failed backend call leaves the instance unverified, with an
     empty graph and a `backend_failed:<error>` flag.
 
     Every surface is normalized once, through one memo that extraction,
@@ -357,6 +359,12 @@ def verify_instance(
         )
 
     entities = _question_entities(instance)
+    if llm is not None and llm.is_valid:
+        answer = primary_answer(instance.gold_answers, keys)
+        reason = ungrounded_reason(kg, llm.reasoning_path, entities, answer, keys=keys)
+        if reason is not None:
+            llm = replace(llm, is_valid=False, explanation=f"ungrounded path: {reason}")
+            flags.append("llm_path_ungrounded")
     det = _deterministic_verdict(kg, instance, entities, keys) if mode != "llm" else None
     if mode == "llm":
         if llm is None:

@@ -289,18 +289,18 @@ def _derived(kg: LocalizedKG, keys: KeyMemo, key: tuple, compute):
     return derived[key]
 
 
+def _node_key(kg: LocalizedKG, surface: str, keys: KeyMemo) -> str:
+    """The key of the node a surface names in kg, through its aliases."""
+    key = keys[surface]
+    return keys[kg.aliases[key]] if key in kg.aliases else key
+
+
 def _match_question_entities(kg: LocalizedKG, question_entities: set[str], keys: KeyMemo) -> list[str]:
     """Question entities map to nodes by normalized equality (aliases included)."""
 
     def match() -> list[str]:
-        matched = set()
-        for entity in question_entities:
-            key = keys[entity]
-            if key in kg.aliases:
-                key = keys[kg.aliases[key]]
-            if key in kg.adjacency:
-                matched.add(key)
-        return sorted(matched)
+        matched = {_node_key(kg, entity, keys) for entity in question_entities}
+        return sorted(matched.intersection(kg.adjacency))
 
     return _derived(kg, keys, ("entities", frozenset(question_entities)), match)
 
@@ -480,6 +480,40 @@ def find_grounded_path(
     return PathVerdict(
         is_valid=False, reasoning_path=(), pattern=PathPattern.SEQUENTIAL, explanation=reason
     )
+
+
+def ungrounded_reason(
+    kg: LocalizedKG,
+    path: tuple[Triple, ...],
+    question_entities: set[str],
+    answer: str,
+    *,
+    keys: KeyMemo,
+) -> str | None:
+    """Why a model's reasoning path is not grounded in kg; None when it is.
+
+    Each triple's endpoints resolve through `keys` and kg.aliases to
+    nodes, and kg must join them by an edge under the triple's
+    relation_key, in either direction. Together the triples must touch a
+    matched question entity and a node matching the answer, or two
+    matched question entities for a yes/no answer.
+    """
+    touched: set[str] = set()
+    for t in path:
+        head, tail = _node_key(kg, t.head, keys), _node_key(kg, t.tail, keys)
+        relation = relation_key(t.relation, keys)
+        if not any(
+            n == tail and relation_key(r, keys) == relation for n, r, _ in kg.adjacency.get(head, ())
+        ):
+            return f"triple {json.dumps(t.as_list(), ensure_ascii=False)} is not in the graph"
+        touched.update((head, tail))
+    entities = touched.intersection(_match_question_entities(kg, question_entities, keys))
+    if keys[answer] in ("yes", "no"):
+        if len(entities) < 2:
+            return "the path does not touch two question entities"
+    elif not entities or touched.isdisjoint(_answer_node_keys(kg, answer, keys)):
+        return "the path does not touch both a question entity and an answer node"
+    return None
 
 
 def _search(

@@ -264,9 +264,9 @@ def test_verify_no_triples_is_unverified():
     assert "unverified" in report.flags
 
 
-def _llm_verify(verdict_reply: str, mode: str):
-    """Verify the first fixture record with `verdict_reply` as the model's path verdict."""
-    record = _ALL_RECORDS[0]  # deterministically Grounded
+def _llm_verify(verdict_reply: str, mode: str, record: dict = _ALL_RECORDS[0]):
+    """Verify a fixture record, by default the first (deterministically
+    Grounded), with `verdict_reply` as the model's path verdict."""
     instance = build_instance(record)
     script = [ChatResponse(text=t) for t in record["extraction"]]
     script += [ChatResponse(text="[]") for _ in record["gold_passages"]]
@@ -303,11 +303,53 @@ def test_llm_verdict_with_wrong_types_is_unparseable(reply, mode):
 
 @pytest.mark.parametrize("mode", ["llm", "cross-check"])
 def test_llm_verdict_skips_triple_with_blank_slot(mode):
-    reply = {"is_valid": True, "reasoning_path": [["A", " ", "B"], ["A", "born in", "B"]]}
+    film, director = "Koeputkiaikuinen Ja Simon Enkelit", "Spede Pasanen"
+    reply = {"is_valid": True, "reasoning_path": [[film, " ", director], [film, "directed_by", director]]}
     report = _llm_verify(json.dumps(reply), mode)
     llm = report.verdict if mode == "llm" else report.alt_verdict
     assert llm.is_valid
-    assert llm.reasoning_path == (Triple("A", "born in", "B"),)
+    assert llm.reasoning_path == (Triple(film, "directed_by", director),)
+
+
+_NOISE_RECORDS = load_noise_fixtures()["noise"]
+
+
+@pytest.mark.parametrize("record", _NOISE_RECORDS, ids=lambda r: r["id"])
+@pytest.mark.parametrize("mode", ["llm", "cross-check"])
+def test_llm_path_not_in_graph_does_not_count(record, mode):
+    reply = {"is_valid": True, "reasoning_path": [["Nobody", "invented", "Nothing"]]}
+    report = _llm_verify(json.dumps(reply), mode, record)
+    llm = report.verdict if mode == "llm" else report.alt_verdict
+    assert not llm.is_valid
+    assert llm.explanation == 'ungrounded path: triple ["Nobody", "invented", "Nothing"] is not in the graph'
+    assert "llm_path_ungrounded" in report.flags
+    assert report.noise_label.value == record["expected_label"]
+    assert not report.disagreement
+
+
+_DANCING = next(r for r in _ALL_RECORDS if r["id"] == "dancing-stars-judge")
+
+
+@pytest.mark.parametrize(
+    "path, grounded",
+    [
+        # through the alias "Paul Mercurio", with a space for the "_"
+        ([["Paul Mercurio", "judge on", "Dancing with the Stars"]], True),
+        # the edge read tail to head
+        ([["Dancing with the Stars", "judge_on", "Paul Joseph Mercurio"]], True),
+        # a graph edge that touches no answer node
+        ([["Paul Joseph Mercurio", "birth_date", "31 March 1963"]], False),
+        # the right nodes under another relation
+        ([["Paul Mercurio", "hosted", "Dancing with the Stars"]], False),
+        ([], False),
+    ],
+    ids=["alias-and-underscore", "reversed", "no-question-entity", "wrong-relation", "empty"],
+)
+def test_llm_path_must_be_a_graph_path(path, grounded):
+    report = _llm_verify(json.dumps({"is_valid": True, "reasoning_path": path}), "llm", _DANCING)
+    assert report.verdict.is_valid is grounded
+    assert ("llm_path_ungrounded" in report.flags) is not grounded
+    assert report.noise_label is (NoiseLabel.GROUNDED if grounded else NoiseLabel.MISSING_EVIDENCE)
 
 
 def test_llm_verdict_sends_first_usable_gold_answer():

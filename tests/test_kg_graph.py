@@ -9,6 +9,7 @@ from hopcheck.data_model import read_jsonl, write_jsonl
 from hopcheck.kg_graph import (
     MAX_HOPS,
     AliasGroup,
+    KeyMemo,
     LocalizedKG,
     NoiseLabel,
     OverlappingAliasGroupsError,
@@ -21,6 +22,7 @@ from hopcheck.kg_graph import (
     find_grounded_path,
     parse_orderable,
     predicate_class,
+    ungrounded_reason,
 )
 from hopcheck.textnorm import normalize
 import kg_reference
@@ -598,3 +600,13 @@ def test_forced_invalid_verdicts_match_exhaustive_reference():
                 repaired_valid += valid and label is NoiseLabel.ENTITY_CONFLATION
     assert {NoiseLabel.ENTITY_CONFLATION, NoiseLabel.MISSING_EVIDENCE, NoiseLabel.WRONG_ANSWER} <= set(labels)
     assert repaired_valid > 0
+
+
+def test_yes_no_model_path_must_touch_two_question_entities():
+    kg = build_kg([Triple("Ann", "born in", "Oslo", 1), Triple("Bo", "born_in", "Oslo", 2)], [])
+    entities, keys = {"Ann", "Bo"}, KeyMemo()
+    both = (Triple("Ann", "born_in", "Oslo"), Triple("Oslo", "born in", "Bo"))
+    assert ungrounded_reason(kg, both, entities, "yes", keys=keys) is None
+    assert ungrounded_reason(kg, both[:1], entities, "yes", keys=keys) == (
+        "the path does not touch two question entities"
+    )
