@@ -96,12 +96,6 @@ class QAInstance:
     def gold_passages(self) -> tuple[Passage, ...]:
         return tuple(p for p in self.passages if p.is_gold)
 
-    def passage(self, index: int) -> Passage:
-        for p in self.passages:
-            if p.index == index:
-                return p
-        raise KeyError(index)
-
 
 def _instance_rng(seed: int, instance_id: str) -> random.Random:
     # Per-instance PRNG keyed by (global seed, id) so corpus subsets

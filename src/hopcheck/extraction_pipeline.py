@@ -62,15 +62,11 @@ def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[li
     kept: list[Triple] = []
     rejected = 0
     for item in items:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 3
-            or not all(isinstance(s, str) and s.strip() for s in item)
-        ):
+        if not isinstance(item, (list, tuple)) or len(item) != 3 or not all(isinstance(s, str) for s in item):
             rejected += 1
             continue
         head, relation, tail = (s.strip() for s in item)
-        if keys[head] in NON_ENTITY_KEYS or keys[tail] in NON_ENTITY_KEYS:
+        if not (head and relation and tail) or keys[head] in NON_ENTITY_KEYS or keys[tail] in NON_ENTITY_KEYS:
             rejected += 1
             continue
         kept.append(Triple(head, relation, tail, source_passage))

@@ -52,8 +52,8 @@ def judge(
     pred: str,
     golds: Sequence[str],
     model_id: str = "default",
-) -> tuple[JudgeVerdict, str, bool]:
-    """Semantic-equivalence verdict; (verdict, reasoning, called_backend).
+) -> tuple[JudgeVerdict, str]:
+    """Semantic-equivalence verdict; (verdict, reasoning).
 
     A prediction byte-equal to a gold answer short-circuits to Correct
     without a backend call. An unparseable judge response or a failed
@@ -62,7 +62,7 @@ def judge(
     if not golds:
         raise ValueError("golds must be non-empty")
     if any(pred == g for g in golds):
-        return JudgeVerdict.CORRECT, "byte-equal to a gold answer", False
+        return JudgeVerdict.CORRECT, "byte-equal to a gold answer"
     try:
         _, resp = ask(
             backend, "judge", model_id,
@@ -71,18 +71,18 @@ def judge(
             gold_answers=json.dumps(list(golds), ensure_ascii=False),
         )
     except TransportError as exc:
-        return JudgeVerdict.UNJUDGED, f"backend failed: {exc}", True
+        return JudgeVerdict.UNJUDGED, f"backend failed: {exc}"
     obj = parse_structured_verdict(resp.text, required_keys=("is_correct",))
     if isinstance(obj, ParseFailure):
-        return JudgeVerdict.UNJUDGED, f"unparseable judge response: {obj.reason}", True
+        return JudgeVerdict.UNJUDGED, f"unparseable judge response: {obj.reason}"
     raw = obj["is_correct"]
     # A JSON boolean or a verdict word; null, numbers, lists and objects
     # are not verdicts.
     correct = _VERDICT_WORDS.get(raw.strip().lower()) if isinstance(raw, str) else raw
     if not isinstance(correct, bool):
-        return JudgeVerdict.UNJUDGED, f"unrecognized is_correct value {raw!r}", True
+        return JudgeVerdict.UNJUDGED, f"unrecognized is_correct value {raw!r}"
     verdict = JudgeVerdict.CORRECT if correct else JudgeVerdict.WRONG
-    return verdict, str(obj.get("reasoning", "")), True
+    return verdict, str(obj.get("reasoning", ""))
 
 
 def score_answer(
@@ -97,5 +97,5 @@ def score_answer(
     f1 = token_f1(pred, golds)  # em = 1 implies f1 = 1 (same normalization)
     if backend is None:
         return AnswerVerdict(em=em, f1=f1)
-    verdict, reasoning, _ = judge(backend, question, pred, golds, model_id)
+    verdict, reasoning = judge(backend, question, pred, golds, model_id)
     return AnswerVerdict(em=em, f1=f1, judge=verdict, judge_reasoning=reasoning)

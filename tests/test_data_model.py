@@ -168,10 +168,11 @@ def test_instance_invariants():
         QAInstance("x", "q", passages[:9], ("a",), Dataset.TWOWIKI, 0)
     with pytest.raises(ValueError):
         QAInstance("x", "q", passages, (), Dataset.TWOWIKI, 0)
+    # The loop's citation check relies on passage indices running 1..10.
     inst = QAInstance("x", "q", passages, ("a",), Dataset.TWOWIKI, 0)
-    assert inst.passage(3).title == "T3"
-    with pytest.raises(KeyError):
-        inst.passage(11)
+    assert [p.index for p in inst.passages] == list(range(1, 11))
+    with pytest.raises(ValueError):
+        QAInstance("x", "q", passages[:9] + (Passage(11, "T11", "B11", False),), ("a",), Dataset.TWOWIKI, 0)
 
 
 def test_passage_and_verdict_invariants():

@@ -52,6 +52,17 @@ def test_extract_one_call_per_gold_passage_and_pronoun_rejection():
     assert all(t.head == "Ada" for t in result.triples)
 
 
+def test_extract_strips_slots_and_rejects_blank_and_non_string_rows():
+    instance = build_instance(_ALL_RECORDS[0])
+    rows = [["  Alpha Corp ", "\towns ", " Beta Inc\n"], ["Alpha Corp", "  ", "Beta Inc"],
+            ["", "owns", "Beta Inc"], ["Alpha Corp", 3, "Beta Inc"], ["Alpha Corp", "owns", None]]
+    result = extract_triples(_fifo(*[json.dumps(rows)] * len(instance.gold_passages)), instance)
+    assert [t.as_list() for t in result.triples] == [["Alpha Corp", "owns", "Beta Inc"]] * len(
+        instance.gold_passages
+    )
+    assert result.rejected == 4 * len(instance.gold_passages)
+
+
 @pytest.mark.parametrize("surface", ["The", "?", "...", "a"])
 def test_extract_rejects_surfaces_that_normalize_to_empty(surface):
     instance = build_instance(_ALL_RECORDS[0])

@@ -47,43 +47,40 @@ def test_em_implies_f1_random_property():
 
 def test_judge_byte_equal_short_circuit():
     backend = fifo()  # would raise if called
-    verdict, reasoning, called = judge(backend, "q", "Paris", ["Paris"])
+    verdict, reasoning = judge(backend, "q", "Paris", ["Paris"])
     assert verdict is JudgeVerdict.CORRECT
-    assert not called
     assert backend.calls == 0
 
 
 def test_judge_scripted_verdicts():
-    verdict, reasoning, called = judge(
-        fifo(json.dumps({"is_correct": True, "reasoning": "same city"})),
-        "q", "paris", ["Paris, France"],
-    )
-    assert verdict is JudgeVerdict.CORRECT and called
+    backend = fifo(json.dumps({"is_correct": True, "reasoning": "same city"}))
+    verdict, reasoning = judge(backend, "q", "paris", ["Paris, France"])
+    assert verdict is JudgeVerdict.CORRECT and backend.calls == 1
     assert reasoning == "same city"
 
-    verdict, _, _ = judge(
+    verdict, _ = judge(
         fifo(json.dumps({"is_correct": "no", "reasoning": "different"})),
         "q", "London", ["Paris"],
     )
     assert verdict is JudgeVerdict.WRONG
 
     # The verdict words prompts/judge.txt asks for.
-    verdict, reasoning, _ = judge(
+    verdict, reasoning = judge(
         fifo(json.dumps({"is_correct": "correct", "reasoning": "alias"})),
         "q", "NYC", ["New York City"],
     )
     assert verdict is JudgeVerdict.CORRECT and reasoning == "alias"
 
-    verdict, _, _ = judge(
+    verdict, _ = judge(
         fifo(json.dumps({"is_correct": " Wrong ", "reasoning": "other city"})),
         "q", "Boston", ["New York City"],
     )
     assert verdict is JudgeVerdict.WRONG
 
-    verdict, reasoning, _ = judge(fifo("I refuse to answer in JSON"), "q", "x", ["y"])
+    verdict, reasoning = judge(fifo("I refuse to answer in JSON"), "q", "x", ["y"])
     assert verdict is JudgeVerdict.UNJUDGED
 
-    verdict, _, _ = judge(
+    verdict, _ = judge(
         fifo(json.dumps({"is_correct": False, "reasoning": "other city"})),
         "q", "Boston", ["New York City"],
     )
@@ -91,15 +88,15 @@ def test_judge_scripted_verdicts():
 
     # Only a JSON boolean or a verdict word counts; no other value is cast.
     for raw in ("perhaps", None, 0, 1, 1.5, [1], [], {}):
-        verdict, reasoning, called = judge(
-            fifo(json.dumps({"is_correct": raw})), "q", "x", ["y"]
-        )
-        assert verdict is JudgeVerdict.UNJUDGED and called, raw
+        backend = fifo(json.dumps({"is_correct": raw}))
+        verdict, reasoning = judge(backend, "q", "x", ["y"])
+        assert verdict is JudgeVerdict.UNJUDGED and backend.calls == 1, raw
         assert reasoning == f"unrecognized is_correct value {raw!r}"
 
     # An empty script raises TransportError: the row is Unjudged, not lost.
-    verdict, reasoning, called = judge(fifo(), "q", "x", ["y"])
-    assert verdict is JudgeVerdict.UNJUDGED and called
+    backend = fifo()
+    verdict, reasoning = judge(backend, "q", "x", ["y"])
+    assert verdict is JudgeVerdict.UNJUDGED and backend.calls == 1
     assert reasoning.startswith("backend failed: ")
 
 
