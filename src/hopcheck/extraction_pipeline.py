@@ -62,11 +62,19 @@ def _coerce_triples(items: list, source_passage: int, keys: KeyMemo) -> tuple[li
     kept: list[Triple] = []
     rejected = 0
     for item in items:
-        if not isinstance(item, (list, tuple)) or len(item) != 3 or not all(isinstance(s, str) for s in item):
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 3
+            or not all(isinstance(s, str) for s in item)
+        ):
             rejected += 1
             continue
         head, relation, tail = (s.strip() for s in item)
-        if not (head and relation and tail) or keys[head] in NON_ENTITY_KEYS or keys[tail] in NON_ENTITY_KEYS:
+        if (
+            not (head and relation and tail)
+            or keys[head] in NON_ENTITY_KEYS
+            or keys[tail] in NON_ENTITY_KEYS
+        ):
             rejected += 1
             continue
         kept.append(Triple(head, relation, tail, source_passage))
@@ -293,8 +301,9 @@ def verify_instance(
     normalized triples and decides; a valid verdict whose path the graph
     does not hold (see ungrounded_reason) becomes invalid and is flagged
     `llm_path_ungrounded`. cross-check: both run and any validity
-    disagreement is recorded; the deterministic verdict is primary. A failed backend call leaves the instance unverified, with an
-    empty graph and a `backend_failed:<error>` flag.
+    disagreement is recorded; the deterministic verdict is primary. A
+    failed backend call leaves the instance unverified, with an empty
+    graph and a `backend_failed:<error>` flag.
 
     Every surface is normalized once, through one memo that extraction,
     gleaning, resolution, build_kg, the search and the noise label share

@@ -297,7 +297,9 @@ def _citation_feedback(cited: int, passage_count: int, slot: int) -> Feedback:
     # Attribution fault, which the loop finds without asking the evaluator.
     return Feedback(
         error_type=ErrorType.UNSUPPORTED,
-        diagnosis=f"Step {slot} cites passage {cited}, but the passages are numbered 1 to {passage_count}.",
+        diagnosis=(
+            f"Step {slot} cites passage {cited}, but the passages are numbered 1 to {passage_count}."
+        ),
         guidance=f"Cite the one passage, numbered 1 to {passage_count}, that states the fact.",
     )
 

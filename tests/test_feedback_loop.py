@@ -236,12 +236,12 @@ def test_out_of_range_citation_rejected_before_the_evaluator(mode, cited):
     assert [(s.kind, s.cited_passage) for s in rec.trajectory.steps] == [
         (StepKind.ATTRIBUTION, 2), (StepKind.FINAL_ANSWER, None),
     ]
-    rejected = [e for e in rec.events if e.kind in ("feedback_given", "step_rejected")]
-    assert [(e.kind, e.slot, e.attempt, e.detail, e.error_type) for e in rejected] == [
-        ("feedback_given", 1, 0, rejected[0].detail, "Unsupported"),
-        ("step_rejected", 1, 0, "cited_passage_out_of_range", ""),
-    ]
-    assert f"passage {cited}" in rejected[0].detail
+    given, rejected = [e for e in rec.events if e.kind in ("feedback_given", "step_rejected")]
+    assert (given.kind, given.slot, given.attempt, given.error_type) == ("feedback_given", 1, 0, "Unsupported")
+    assert f"cites passage {cited}," in given.detail
+    assert (rejected.kind, rejected.slot, rejected.attempt, rejected.detail, rejected.error_type) == (
+        "step_rejected", 1, 0, "cited_passage_out_of_range", ""
+    )
 
     # The rejected step is not kept as the slot's last attempt.
     rec = run_instance(
