@@ -139,15 +139,16 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     out_dir = Path(args.out)
     _echo_config(out_dir, "verify-benchmark", resolved)
     (out_dir / "kg").mkdir(exist_ok=True)
-    reports = []
+    # Only the rows outlive the loop: each report, graph and verdict triples
+    # included, is released when the next instance's report replaces it.
+    rows = []
     for inst in instances:
         report = verify_instance(
             backend, inst, mode=mode, model_id=resolved.get("model", "default")
         )
-        reports.append(report)
         # vars, not dataclasses.asdict, which deep-copies every edge.
         write_jsonl(out_dir / "kg" / f"{inst.id}.jsonl", map(vars, report.kg.edges))
-    rows = [report.to_dict() for report in reports]
+        rows.append(report.to_dict())
     write_jsonl(out_dir / "reports.jsonl", rows)
     write_jsonl(out_dir / "disagreements.jsonl", [row for row in rows if row["disagreement"]])
     stats = _noise_stats(rows, out_dir / "reports.jsonl", out_dir)
@@ -172,9 +173,10 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
         print(f"dry-run: at most {worst} backend requests over {len(instances)} instances")
         return 0
     generator = _build_backend(resolved.get("backend"))
+    # Only safe mode calls the evaluator backend.
     evaluator = (
         _build_backend(resolved["evaluator_backend"])
-        if resolved.get("evaluator_backend")
+        if cfg.mode is FeedbackMode.EXTERNAL_FEEDBACK and resolved.get("evaluator_backend")
         else generator
     )
     out_dir = Path(args.out)

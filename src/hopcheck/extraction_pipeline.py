@@ -85,8 +85,13 @@ def _triple_key(t: Triple, keys: KeyMemo) -> tuple[str, str, str]:
     return (keys[t.head], relation_key(t.relation, keys), keys[t.tail])
 
 
+# json.dumps builds a new encoder per call when given any non-default
+# argument; one shared encoder writes the same prompt text.
+_PROMPT_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _triples_json(triples: list[Triple]) -> str:
-    return json.dumps([t.as_list() for t in triples], ensure_ascii=False)
+    return _PROMPT_ENCODER.encode([t.as_list() for t in triples])
 
 
 @dataclass(frozen=True)
@@ -182,7 +187,7 @@ def resolve_entities(
         return [], True
     _, resp = ask(
         backend, "entity_resolution", model_id,
-        entities=json.dumps(entities, ensure_ascii=False),
+        entities=_PROMPT_ENCODER.encode(entities),
         context_triples=_triples_json(triples),
     )
     parsed = parse_json_list(resp.text)

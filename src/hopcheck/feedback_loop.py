@@ -11,7 +11,6 @@ one immutable CacheLedger for its record.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,6 +28,8 @@ from .step_grammar import (
     StepKind,
     Trajectory,
     _ANSWER_RE,
+    _STEP_PREFIX_RE,
+    _SUFFIX_RE,
     parse_step,
     render_step,
     render_trajectory,
@@ -322,8 +323,10 @@ def _common_prefix_len(a: str, b: str) -> int:
 
 
 def _synthesize_step(raw: str, slot: int) -> ReasoningStep:
-    text = " ".join(raw.split()) or "(empty generator output)"
-    return ReasoningStep(index=slot, kind=StepKind.LOGICAL, text=text)
+    """A Logical step from a completion no retry could parse; its own
+    "Step K:" prefix and kind tag are dropped, as render_step adds both."""
+    text = _SUFFIX_RE.sub("", _STEP_PREFIX_RE.sub("", " ".join(raw.split()), count=1)).strip()
+    return ReasoningStep(index=slot, kind=StepKind.LOGICAL, text=text or "(empty generator output)")
 
 
 class _LedgerTracker:
@@ -612,7 +615,10 @@ def run_corpus(
     if workers <= 1:
         records = [run_instance(cfg, inst, generator, evaluator) for inst in instances]
     else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        # Imported here: single-worker runs never load the thread pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(
                 pool.map(lambda inst: run_instance(cfg, inst, generator, evaluator), instances)
             )

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -134,6 +136,25 @@ def test_bad_backend_spec_is_a_config_error(tmp_path, capsys, key, spec, problem
                  "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, code", [("none", 0), ("self", 0), ("safe", 1)])
+def test_evaluator_backend_is_built_only_in_safe_mode(tmp_path, capsys, mode, code):
+    fixture = write_fixture(tmp_path / "fx.json", ["Step 1: ####ANSWER: Paris (Final Answer)", "{}"])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "backend": {"type": "scripted", "fixture": fixture}, "evaluator_backend": {"type": "bogus"},
+    }))
+    out = tmp_path / "out"
+    assert main(["run", "--in", write_corpus(tmp_path / "c.jsonl", [make_instance()]),
+                 "--mode", mode, "--k", "1", "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: unknown backend type 'bogus'\n"
+        assert not out.exists()
+    else:
+        assert err == ""
+        assert json.loads((out / "runs.jsonl").read_text())["answer"] == "Paris"
 
 
 def test_ingest_idempotent_and_echoes_config(tmp_path):
@@ -292,6 +313,34 @@ def test_verify_benchmark_over_fixture_pack(tmp_path, capsys):
     assert (stats_out / "noise_stats.json").read_bytes() == (out / "noise_stats.json").read_bytes()
 
 
+def test_verify_benchmark_releases_each_graph_once_written(tmp_path, monkeypatch):
+    from fixture_utils import build_instance, load_noise_fixtures
+
+    records = load_noise_fixtures()["grounded"] + load_noise_fixtures()["noise"]
+    corpus = write_corpus(tmp_path / "c.jsonl", [build_instance(r) for r in records])
+    texts = []
+    for r in records:
+        texts += [*r["extraction"], *["[]"] * len(r["gold_passages"]), r["resolution"]]
+    fixture = write_fixture(tmp_path / "fx.json", texts)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+    graphs = []
+    verify = cli.verify_instance
+
+    def tracked(*args, **kwargs):
+        # Only the previous instance's report may still be held.
+        gc.collect()
+        assert all(ref() is None for ref in graphs[:-1]), f"graph held before instance {len(graphs)}"
+        report = verify(*args, **kwargs)
+        graphs.append(weakref.ref(report.kg))
+        return report
+
+    monkeypatch.setattr(cli, "verify_instance", tracked)
+    assert main(["verify-benchmark", "--in", corpus, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(graphs) == len(records) > 2
+
+
 def test_verify_benchmark_survives_failed_backend_call(tmp_path, monkeypatch):
     from fixture_utils import build_instance, load_noise_fixtures
 
@@ -342,11 +391,14 @@ _HTTP_MODULES_SCRIPT = """
 import json, sys
 from hopcheck import cli
 def loaded():
-    return sorted(m for m in ("requests", "urllib3") if m in sys.modules)
-codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+    return sorted(m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules)
+*argvs, pooled = json.loads(sys.argv[1])
+codes = [cli.main(argv) for argv in argvs]
 scripted = loaded()
+codes.append(cli.main(pooled))
+pool = loaded()
 cli._build_backend({"type": "openai", "base_url": "http://localhost:9"})
-print(json.dumps({"codes": codes, "scripted": scripted, "openai": loaded()}))
+print(json.dumps({"codes": codes, "scripted": scripted, "pool": pool, "openai": loaded()}))
 """
 
 
@@ -360,15 +412,18 @@ def test_scripted_commands_never_load_the_http_stack(tmp_path):
     for r in records:
         texts += [*r["extraction"], *["[]"] * len(r["gold_passages"]), r["resolution"]]
     argvs = []
-    for command, replies, extra in [
-        ("verify-benchmark", texts, []),
-        ("run", ["Step 1: ####ANSWER: Paris (Final Answer)"] * len(records), ["--mode", "none"]),
+    answers = ["Step 1: ####ANSWER: Paris (Final Answer)"] * len(records)
+    # The last command, a pooled run, is the only one that loads the thread pool.
+    for name, command, replies, extra in [
+        ("verify", "verify-benchmark", texts, []),
+        ("run1", "run", answers, ["--mode", "none", "--workers", "1"]),
+        ("run2", "run", answers, ["--mode", "none", "--workers", "2"]),
     ]:
-        cfg = tmp_path / f"{command}.json"
-        fixture = write_fixture(tmp_path / f"{command}-fx.json", replies)
+        cfg = tmp_path / f"{name}.json"
+        fixture = write_fixture(tmp_path / f"{name}-fx.json", replies)
         cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
         argvs.append([command, "--in", corpus, *extra, "--config", str(cfg),
-                      "--out", str(tmp_path / command)])
+                      "--out", str(tmp_path / name)])
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _HTTP_MODULES_SCRIPT, json.dumps(argvs)],
@@ -376,7 +431,12 @@ def test_scripted_commands_never_load_the_http_stack(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0, 0], "scripted": [], "openai": ["requests", "urllib3"]}
+    assert result == {
+        "codes": [0, 0, 0],
+        "scripted": [],
+        "pool": ["concurrent.futures"],
+        "openai": ["concurrent.futures", "requests", "urllib3"],
+    }
 
 
 def _synthesis_teacher(models):

@@ -253,6 +253,33 @@ def test_out_of_range_citation_rejected_before_the_evaluator(mode, cited):
     assert rec.flags == ("retry_exhausted_slot_1",)
 
 
+@pytest.mark.parametrize("raw, text", [
+    ("Step 1: the fact is in passage 99 (Attribution)", "the fact is in passage 99"),
+    ("  step 2 :  the fact\n is  in passage 99  ( logical ) ", "the fact is in passage 99"),
+    ("Step 1: the fact is in passage 99", "the fact is in passage 99"),
+    ("the fact is in passage 99 (Attribution)", "the fact is in passage 99"),
+    ("Step 1: (Final Answer)", "(empty generator output)"),
+    ("   ", "(empty generator output)"),
+])
+def test_synthesized_step_drops_the_completions_prefix_and_tag(raw, text):
+    requests = []
+
+    def generator(req):
+        requests.append(req.messages[0].content)
+        return ChatResponse(text=raw if len(requests) == 1 else "####ANSWER: Paris")
+
+    rec = run_instance(
+        LoopConfig(max_steps=1, max_retries=0, mode=FeedbackMode.NO_FEEDBACK),
+        make_instance(), ScriptedBackend(responder=generator),
+    )
+    assert rec.flags == ("retry_exhausted_slot_1",) and rec.answer == "Paris"
+    (step,) = rec.trajectory.steps
+    assert (step.index, step.kind, step.text) == (1, StepKind.LOGICAL, text)
+    # The forced-answer prompt renders the step once, with its own tag.
+    assert f"\nStep 1: {text} (Logical)\n" in requests[1]
+    assert requests[1].count("Step 1:") == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         LoopConfig(max_steps=0)
