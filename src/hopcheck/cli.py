@@ -9,17 +9,17 @@ from pathlib import Path
 
 from . import __version__
 from .data_model import (
-    Dataset, MalformedRecordError, canonical_row, load_canonical, load_instances, read_json,
-    read_jsonl, write_json, write_jsonl,
-)
-from .datagen import (
-    DatagenError, DatasetConfig, build_dataset, generate_ideal, generate_plan, import_refined,
+    Dataset, FeedbackMode, MalformedRecordError, canonical_row, load_canonical, load_instances,
+    read_json, read_jsonl, write_json, write_jsonl,
 )
 from .extraction_pipeline import MAX_GLEANING_ROUNDS, VERIFY_MODES, NoiseStats, verify_instance
-from .feedback_loop import FeedbackMode, LoopConfig, run_corpus, score_table
 from .kg_graph import NoiseLabel
 from .llm_client import OpenAIBackend, ScriptedBackend, TransportError
-from .metrics import score_answer
+from .metrics import score_answer, score_table
+
+# `run` imports feedback_loop, and `synthesize` datagen (which imports the
+# loop), inside the command: no other command loads either, or the step
+# grammar and taxonomy they pull in.
 
 
 class ConfigError(ValueError):
@@ -157,6 +157,8 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, config: dict) -> int:
+    from .feedback_loop import LoopConfig, run_corpus
+
     resolved = _merged(config, args, ("mode", "k", "n", "workers", "generator_model", "evaluator_model"))
     cfg = LoopConfig(
         max_steps=int(resolved.get("k", 10)),
@@ -194,7 +196,16 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
+    from .datagen import (
+        DatagenError, DatasetConfig, build_dataset, generate_ideal, generate_plan,
+        import_refined,
+    )
+
     resolved = _merged(config, args, ("total", "seed", "ideal_fraction", "model"))
+    dataset_cfg = DatasetConfig(
+        total=int(resolved.get("total", 100)),
+        ideal_fraction=float(resolved.get("ideal_fraction", 0.34)),
+    )
     instances = load_canonical(args.infile)
     by_id = {inst.id: inst for inst in instances}
     refined = []
@@ -203,20 +214,19 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
             refined.append(import_refined(record, by_id))
         except DatagenError as exc:
             raise MalformedRecordError(args.refined, i, str(exc)) from exc
-    total = int(resolved.get("total", 100))
     if args.dry_run:
-        worst = len(instances) * 2 + total
+        worst = len(instances) * 2 + dataset_cfg.total
         print(f"dry-run: at most {worst} backend requests over {len(instances)} instances")
         return 0
     backend = _build_backend(resolved.get("backend"))
     model_id = resolved.get("model", "default")
     pool = []
     for inst in instances:
-        plan = generate_plan(backend, inst.question, inst.dataset, model_id=model_id)
-        pool.append((inst, generate_ideal(backend, inst, plan, model_id=model_id)))
-    dataset_cfg = DatasetConfig(
-        total=total, ideal_fraction=float(resolved.get("ideal_fraction", 0.34))
-    )
+        try:
+            plan = generate_plan(backend, inst.question, inst.dataset, model_id=model_id)
+            pool.append((inst, generate_ideal(backend, inst, plan, model_id=model_id)))
+        except (DatagenError, TransportError) as exc:
+            raise DatagenError(f"instance {inst.id}: {exc}") from exc
     examples, manifest = build_dataset(backend, pool, dataset_cfg, refined, model_id)
     out_dir = Path(args.out)
     _echo_config(out_dir, "synthesize", resolved)

@@ -28,6 +28,12 @@ class Dataset(str, Enum):
     CANONICAL = "canonical"
 
 
+class FeedbackMode(str, Enum):
+    NO_FEEDBACK = "none"
+    SELF_FEEDBACK = "self"
+    EXTERNAL_FEEDBACK = "safe"
+
+
 class MalformedRecordError(ValueError):
     """Raised when a source record is missing a required field or holds a
     value an instance cannot take; names the file and the record."""

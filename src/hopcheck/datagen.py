@@ -16,7 +16,7 @@ from enum import Enum
 
 from .data_model import Dataset, QAInstance
 from .feedback_loop import render_passages
-from .llm_client import Backend, ParseFailure, ask, parse_json_list
+from .llm_client import Backend, ParseFailure, TransportError, ask, parse_json_list
 from .step_grammar import (
     ReasoningStep,
     StepFormatError,
@@ -456,7 +456,10 @@ def build_dataset(
                     break
             if target is None:
                 continue
-            examples.append(inject_error(backend, instance, traj, target, error, model_id))
+            try:
+                examples.append(inject_error(backend, instance, traj, target, error, model_id))
+            except (DatagenError, TransportError) as exc:
+                raise DatagenError(f"instance {instance.id}: {exc}") from exc
             produced += 1
 
     examples.extend(refined or [])

@@ -12,9 +12,8 @@ one immutable CacheLedger for its record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .data_model import AnswerVerdict, JudgeVerdict, QAInstance
+from .data_model import FeedbackMode, QAInstance
 from .llm_client import (
     Backend,
     ParseFailure,
@@ -42,12 +41,6 @@ from .taxonomy import (
     validate_feedback,
 )
 from .textnorm import rough_token_count, splits_token
-
-
-class FeedbackMode(str, Enum):
-    NO_FEEDBACK = "none"
-    SELF_FEEDBACK = "self"
-    EXTERNAL_FEEDBACK = "safe"
 
 
 @dataclass(frozen=True)
@@ -551,40 +544,6 @@ def run_instance(
         ledger=tracker.ledger,
         flags=tuple(flags),
     )
-
-
-def score_delta(baseline_mean: float, treatment_mean: float) -> float:
-    """Accuracy delta in points, rounded to one decimal."""
-    return round(treatment_mean - baseline_mean, 1)
-
-
-def score_table(
-    pairs: list[tuple[str, AnswerVerdict]], baseline_mean: float | None = None
-) -> dict:
-    """Per-dataset score table over (dataset, verdict) pairs.
-
-    em and f1 are means over the dataset's pairs, acc the share judged
-    Correct among its judged pairs; Unjudged pairs count as unjudged.
-    When every pair is judged, an "average" row holds the mean acc over
-    all pairs and, given a baseline mean in points, the delta against it.
-    """
-    table: dict = {}
-    for name in sorted({dataset for dataset, _ in pairs}):
-        group = [v for dataset, v in pairs if dataset == name]
-        judged = [v.judge for v in group if v.judge is not JudgeVerdict.UNJUDGED]
-        table[name] = {
-            "unjudged": len(group) - len(judged),
-            "em": round(sum(v.em for v in group) / len(group), 4),
-            "f1": round(sum(v.f1 for v in group) / len(group), 4),
-        }
-        if judged:
-            table[name]["acc"] = round(judged.count(JudgeVerdict.CORRECT) / len(judged), 4)
-    if pairs and not any(row["unjudged"] for row in table.values()):
-        mean_acc = sum(v.judge is JudgeVerdict.CORRECT for _, v in pairs) / len(pairs)
-        table["average"] = {"acc": round(mean_acc, 4)}
-        if baseline_mean is not None:
-            table["average"]["delta_vs_baseline"] = score_delta(baseline_mean, 100.0 * mean_acc)
-    return table
 
 
 def aggregate_runs(records: list[RunRecord]) -> dict:

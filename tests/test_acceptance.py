@@ -22,12 +22,11 @@ from hopcheck.feedback_loop import (
     RoleLedger,
     RunRecord,
     run_instance,
-    score_table,
     update_ledger,
 )
 from hopcheck.kg_graph import find_grounded_path
 from hopcheck.llm_client import ChatResponse, ScriptedBackend, Usage
-from hopcheck.metrics import exact_match, token_f1
+from hopcheck.metrics import exact_match, score_table, token_f1
 from hopcheck.step_grammar import (
     ReasoningStep,
     StepErrorCode,

@@ -14,7 +14,7 @@ import pytest
 
 import hopcheck
 from fixture_utils import build_instance, build_verify_backend, load_noise_fixtures
-from hopcheck.data_model import Dataset, Passage, QAInstance
+from hopcheck.data_model import Dataset, Passage, QAInstance, canonical_row, write_jsonl
 from hopcheck.llm_client import ChatResponse, ScriptedBackend
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -143,6 +143,14 @@ def _verdict(error_type: str) -> str:
     return json.dumps({"error_type": error_type, "diagnosis": "d", "guidance": "g"})
 
 
+def _loop_instance() -> QAInstance:
+    return QAInstance(
+        "loop1", "Who did it?",
+        tuple(Passage(i, f"Title {i}", f"Body {i}.", i <= 2) for i in range(1, 11)),
+        ("Paris",), Dataset.HOTPOTQA, 0,
+    )
+
+
 def test_tracer_counts_one_loop_item(tracer):
     """A two-slot run with a malformed step, an evaluator rejection and a
     forced answer: the ledger update and the prompt render run once per
@@ -150,11 +158,7 @@ def test_tracer_counts_one_loop_item(tracer):
     for the forced answer."""
     from hopcheck import feedback_loop
 
-    instance = QAInstance(
-        "loop1", "Who did it?",
-        tuple(Passage(i, f"Title {i}", f"Body {i}.", i <= 2) for i in range(1, 11)),
-        ("Paris",), Dataset.HOTPOTQA, 0,
-    )
+    instance = _loop_instance()
     generator = ScriptedBackend(script=[ChatResponse(text=t) for t in (
         "no step here",
         "Step 1: a fact from passage 1 (Attribution)",
@@ -186,3 +190,62 @@ def test_tracer_counts_one_loop_item(tracer):
     assert t.counts["llm_client.calls_by_prompt.step_generation"] == 4
     assert t.counts["llm_client.calls_by_prompt.evaluation"] == 3
     assert t.counts["llm_client.calls_by_prompt.final_answer"] == 1
+
+
+def _synthesize_and_run(work: Path) -> None:
+    """One scripted `synthesize` and one `run` through the CLI, which
+    imports datagen and feedback_loop inside those two commands."""
+    from hopcheck import cli
+
+    work.mkdir()
+    corpus = work / "c.jsonl"
+    write_jsonl(corpus, [canonical_row(_loop_instance())])
+    plan = (
+        "[Step 1: Find the fact in passage 1 (Attribution), "
+        "Step 2: Find the fact in passage 2 (Attribution), "
+        "Step 3: Compare the two facts (Logical)]"
+    )
+    ideal = json.dumps([
+        {"step": "Step 1: fact 1 from passage 1 (Attribution)", "supporting_index": 1},
+        {"step": "Step 2: fact 2 from passage 2 (Attribution)", "supporting_index": 2},
+        {"step": "Step 3: both facts agree (Logical)"},
+    ])
+    for command, replies, flags in (
+        ("synthesize", [plan, ideal], ["--total", "1", "--ideal-fraction", "1"]),
+        ("run", ["Step 1: ####ANSWER: Paris (Final Answer)"], ["--mode", "none"]),
+    ):
+        fixture = work / f"{command}-fx.json"
+        fixture.write_text(json.dumps([{"text": t} for t in replies]))
+        cfg = work / f"{command}.json"
+        cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": str(fixture)}}))
+        argv = [command, "--in", str(corpus), *flags, "--config", str(cfg), "--out", str(work / command)]
+        assert cli.main(argv) == 0
+
+
+def test_item_timer_attaches_to_the_lazily_imported_commands(tracer, tmp_path):
+    before = _bindings()
+    timer = tracer.ItemTimer()
+    timer.install()
+    try:
+        _synthesize_and_run(tmp_path / "work")
+    finally:
+        timer.uninstall()
+    _assert_restored(before)
+    assert len(timer.latencies_ns) == 2  # the ideal example and the run
+
+
+def test_tracer_attaches_to_the_lazily_imported_commands(tracer, tmp_path):
+    before = _bindings()
+    t = tracer.Tracer()
+    t.install()
+    try:
+        _synthesize_and_run(tmp_path / "work")
+        t.end_pass()
+    finally:
+        t.uninstall()
+    _assert_restored(before)
+    calls = t.summary()["details"]["span_calls_per_pass"]
+    assert calls["datagen.generate_plan"] == 1
+    assert calls["datagen.generate_ideal"] == 1
+    assert calls["datagen.ideal_example"] == 1
+    assert calls["feedback_loop.run_instance"] == 1

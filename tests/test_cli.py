@@ -55,6 +55,7 @@ def test_usage_error_returns_2(capsys):
     assert main([]) == 2
     assert main(["run"]) == 2  # missing required flags
     assert main(["verify-benchmark", "--in", "x", "--out", "y", "--mode", "bogus"]) == 2
+    assert main(["run", "--in", "x", "--out", "y", "--mode", "bogus"]) == 2
 
 
 def test_missing_input_file_returns_1(tmp_path, capsys):
@@ -387,56 +388,88 @@ def test_verify_benchmark_rejects_ids_that_are_not_file_names(tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["c.jsonl"]
 
 
-_HTTP_MODULES_SCRIPT = """
+_MODULES_SCRIPT = """
 import json, sys
 from hopcheck import cli
 def loaded():
-    return sorted(m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules)
-*argvs, pooled = json.loads(sys.argv[1])
-codes = [cli.main(argv) for argv in argvs]
-scripted = loaded()
-codes.append(cli.main(pooled))
-pool = loaded()
+    http = sorted(m for m in ("requests", "urllib3", "concurrent.futures") if m in sys.modules)
+    package = sorted(m[len("hopcheck."):] for m in sys.modules if m.startswith("hopcheck."))
+    return http, package
+steps = [["import", 0, *loaded()]]
+for name, argv in json.loads(sys.argv[1]):
+    steps.append([name, cli.main(argv), *loaded()])
 cli._build_backend({"type": "openai", "base_url": "http://localhost:9"})
-print(json.dumps({"codes": codes, "scripted": scripted, "pool": pool, "openai": loaded()}))
+steps.append(["openai", 0, *loaded()])
+print(json.dumps(steps))
 """
+
+# The modules only `run` and `synthesize` use.
+_LOOP_MODULES = {"datagen", "feedback_loop", "step_grammar", "taxonomy"}
 
 
 def test_scripted_commands_never_load_the_http_stack(tmp_path):
-    # A fresh interpreter: this test process may already hold requests.
+    """One fresh interpreter runs the commands in turn and records, after
+    each, the loaded HTTP and thread-pool modules and the loaded hopcheck
+    modules; this test process may already hold any of them."""
     from fixture_utils import build_instance, load_noise_fixtures
 
     records = load_noise_fixtures()["grounded"] + load_noise_fixtures()["noise"]
     corpus = write_corpus(tmp_path / "c.jsonl", [build_instance(r) for r in records])
+    small = write_corpus(tmp_path / "small.jsonl", [make_instance("a")])
+    runs = tmp_path / "runs.jsonl"
+    write_jsonl(runs, [{"instance_id": r["id"], "answer": "Paris"} for r in records])
     texts = []
     for r in records:
         texts += [*r["extraction"], *["[]"] * len(r["gold_passages"]), r["resolution"]]
-    argvs = []
     answers = ["Step 1: ####ANSWER: Paris (Final Answer)"] * len(records)
+    steps = []
     # The last command, a pooled run, is the only one that loads the thread pool.
     for name, command, replies, extra in [
-        ("verify", "verify-benchmark", texts, []),
-        ("run1", "run", answers, ["--mode", "none", "--workers", "1"]),
-        ("run2", "run", answers, ["--mode", "none", "--workers", "2"]),
+        ("ingest", "ingest", None, ["--in", hotpot_file(tmp_path), "--dataset", "hotpotqa"]),
+        ("verify", "verify-benchmark", texts, ["--in", corpus]),
+        ("score", "score", None, ["--in", corpus, "--runs", str(runs), "--judge", "off"]),
+        ("stats", "stats", None, ["--in", str(tmp_path / "verify" / "reports.jsonl")]),
+        ("run1", "run", answers, ["--in", corpus, "--mode", "none", "--workers", "1"]),
+        ("synthesize", "synthesize", [_PLAN_REPLY, _IDEAL_REPLY],
+         ["--in", small, "--total", "1", "--ideal-fraction", "1"]),
+        ("run2", "run", answers, ["--in", corpus, "--mode", "none", "--workers", "2"]),
     ]:
-        cfg = tmp_path / f"{name}.json"
-        fixture = write_fixture(tmp_path / f"{name}-fx.json", replies)
-        cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
-        argvs.append([command, "--in", corpus, *extra, "--config", str(cfg),
-                      "--out", str(tmp_path / name)])
+        if replies is not None:
+            cfg = tmp_path / f"{name}.json"
+            fixture = write_fixture(tmp_path / f"{name}-fx.json", replies)
+            cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+            extra = [*extra, "--config", str(cfg)]
+        steps.append([name, [command, *extra, "--out", str(tmp_path / name)]])
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _HTTP_MODULES_SCRIPT, json.dumps(argvs)],
+        [sys.executable, "-c", _MODULES_SCRIPT, json.dumps(steps)],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {
-        "codes": [0, 0, 0],
-        "scripted": [],
-        "pool": ["concurrent.futures"],
-        "openai": ["concurrent.futures", "requests", "urllib3"],
-    }
+    result = {name: (code, http, set(package))
+              for name, code, http, package in json.loads(proc.stdout.splitlines()[-1])}
+    assert {name: code for name, (code, _, _) in result.items()} == dict.fromkeys(result, 0)
+    scripted = ["import", "ingest", "verify", "score", "stats", "run1", "synthesize"]
+    assert {name: result[name][1] for name in scripted} == dict.fromkeys(scripted, [])
+    assert result["run2"][1] == ["concurrent.futures"]
+    assert result["openai"][1] == ["concurrent.futures", "requests", "urllib3"]
+    for name in ("import", "ingest", "verify", "score", "stats"):
+        assert not result[name][2] & _LOOP_MODULES, name
+    assert result["run1"][2] & _LOOP_MODULES == _LOOP_MODULES - {"datagen"}
+    assert _LOOP_MODULES <= result["synthesize"][2]
+
+
+# A plan and an ideal trajectory that fit make_instance.
+_PLAN_REPLY = (
+    "[Step 1: Find the nationality of A (Attribution), "
+    "Step 2: Find the nationality of B (Attribution), "
+    "Step 3: Compare the two nationalities (Logical)]"
+)
+_IDEAL_REPLY = json.dumps([
+    {"step": "Step 1: fact 1 from passage 1 (Attribution)", "supporting_index": 1},
+    {"step": "Step 2: fact 2 from passage 2 (Attribution)", "supporting_index": 2},
+    {"step": "Step 3: both facts agree (Logical)"},
+])
 
 
 def _synthesis_teacher(models):
@@ -447,20 +480,12 @@ def _synthesis_teacher(models):
         models.append(req.model_id)
         content = req.messages[0].content
         if "query analysis" in content:  # only the plan prompts say this
-            return ChatResponse(text=(
-                "[Step 1: Find the nationality of A (Attribution), "
-                "Step 2: Find the nationality of B (Attribution), "
-                "Step 3: Compare the two nationalities (Logical)]"
-            ))
+            return ChatResponse(text=_PLAN_REPLY)
         target = re.search(r"Target Step to Corrupt: Step (\d+)", content)
         if target:
             line = re.search(rf"^Step {target.group(1)}: .*$", content, re.MULTILINE).group(0)
             return ChatResponse(text=line.replace(": ", ": wrongly, ", 1))
-        return ChatResponse(text=json.dumps([
-            {"step": "Step 1: fact 1 from passage 1 (Attribution)", "supporting_index": 1},
-            {"step": "Step 2: fact 2 from passage 2 (Attribution)", "supporting_index": 2},
-            {"step": "Step 3: both facts agree (Logical)"},
-        ]))
+        return ChatResponse(text=_IDEAL_REPLY)
 
     return respond
 
@@ -539,9 +564,54 @@ def test_synthesize_failed_backend_call_is_one_error_line(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["synthesize", "--in", corpus, "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: no scripted response for request ")
+    assert err.startswith("error: instance a: no scripted response for request ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_synthesize_unparseable_plan_names_its_instance(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
+    cfg = tmp_path / "cfg.json"
+    fixture = write_fixture(tmp_path / "fx.json", ["not a plan"])
+    cfg.write_text(json.dumps({"backend": {"type": "scripted", "fixture": fixture}}))
+    out = tmp_path / "out"
+    assert main(["synthesize", "--in", corpus, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: instance a: plan is not a bracketed list\n"
+    assert not out.exists()
+
+
+def test_synthesize_failed_injection_names_its_instance(tmp_path, capsys, monkeypatch):
+    teacher = _synthesis_teacher([])
+
+    def respond(req):
+        if "Target Step to Corrupt" in req.messages[0].content:
+            return ChatResponse(text="no step here")
+        return teacher(req)
+
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: ScriptedBackend(responder=respond))
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
+    out = tmp_path / "out"
+    # One ideal example from "a", then the first injection targets "b".
+    assert main(["synthesize", "--in", corpus, "--total", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instance b: teacher output not a single step: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--total", "0"], "total must be >= 1"),
+    (["--ideal-fraction", "1.5"], "ideal_fraction must be in [0, 1]"),
+])
+def test_synthesize_checks_its_quota_before_any_backend_call(tmp_path, capsys, monkeypatch, flags, message):
+    backend = ScriptedBackend(responder=_synthesis_teacher([]))
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    corpus = write_corpus(tmp_path / "c.jsonl", [make_instance("a"), make_instance("b")])
+    for dry_run in (["--dry-run"], []):
+        assert main(["synthesize", "--in", corpus, *flags, *dry_run, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert backend.calls == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_score_judge_off(tmp_path, capsys):

@@ -7,23 +7,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopcheck.data_model import (
-    AnswerVerdict, Dataset, JudgeVerdict, Passage, QAInstance, write_jsonl,
+    AnswerVerdict, Dataset, FeedbackMode, JudgeVerdict, Passage, QAInstance, write_jsonl,
 )
 from hopcheck.feedback_loop import (
     CacheLedger,
-    FeedbackMode,
     LoopConfig,
     LoopEvent,
     RoleLedger,
     aggregate_runs,
     run_corpus,
     run_instance,
-    score_delta,
-    score_table,
     _LedgerTracker,
     update_ledger,
 )
 from hopcheck.llm_client import ChatRequest, ChatResponse, ScriptedBackend, Usage
+from hopcheck.metrics import score_delta, score_table
 from hopcheck.step_grammar import StepKind
 from hopcheck.textnorm import rough_token_count
 
