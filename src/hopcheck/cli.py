@@ -63,6 +63,14 @@ def _build_backend(spec: dict | None):
     raise ConfigError(f"unknown backend type {kind!r}")
 
 
+def _model_id(resolved: dict, key: str, default: str = "default") -> str:
+    """The model id under `key`; one that is not a string is a ConfigError."""
+    model_id = resolved.get(key, default)
+    if not isinstance(model_id, str):
+        raise ConfigError(f"{key} {model_id!r} is not a string")
+    return model_id
+
+
 def _echo_config(out_dir: Path, command: str, resolved: dict) -> None:
     """resolved_config.json: the settings without backend specs, plus command and version."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,6 +127,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     mode = resolved.get("mode", "deterministic")
     if mode not in VERIFY_MODES:
         raise ConfigError(f"mode must be one of {VERIFY_MODES}")
+    model_id = _model_id(resolved, "model")
     instances = load_canonical(args.infile)
     seen: set[str] = set()
     for inst in instances:
@@ -143,9 +152,7 @@ def _cmd_verify(args: argparse.Namespace, config: dict) -> int:
     # included, is released when the next instance's report replaces it.
     rows = []
     for inst in instances:
-        report = verify_instance(
-            backend, inst, mode=mode, model_id=resolved.get("model", "default")
-        )
+        report = verify_instance(backend, inst, mode=mode, model_id=model_id)
         # vars, not dataclasses.asdict, which deep-copies every edge.
         write_jsonl(out_dir / "kg" / f"{inst.id}.jsonl", map(vars, report.kg.edges))
         rows.append(report.to_dict())
@@ -164,8 +171,8 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
         max_steps=int(resolved.get("k", 10)),
         max_retries=int(resolved.get("n", 3)),
         mode=FeedbackMode(resolved.get("mode", "safe")),
-        generator_model=resolved.get("generator_model", "generator"),
-        evaluator_model=resolved.get("evaluator_model", "evaluator"),
+        generator_model=_model_id(resolved, "generator_model", "generator"),
+        evaluator_model=_model_id(resolved, "evaluator_model", "evaluator"),
     )
     instances = load_canonical(args.infile)
     if args.dry_run:
@@ -206,6 +213,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
         total=int(resolved.get("total", 100)),
         ideal_fraction=float(resolved.get("ideal_fraction", 0.34)),
     )
+    model_id = _model_id(resolved, "model")
     instances = load_canonical(args.infile)
     by_id = {inst.id: inst for inst in instances}
     refined = []
@@ -219,7 +227,6 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
         print(f"dry-run: at most {worst} backend requests over {len(instances)} instances")
         return 0
     backend = _build_backend(resolved.get("backend"))
-    model_id = resolved.get("model", "default")
     pool = []
     for inst in instances:
         try:
@@ -238,6 +245,7 @@ def _cmd_synthesize(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_score(args: argparse.Namespace, config: dict) -> int:
     resolved = _merged(config, args, ("judge", "model"))
+    model_id = _model_id(resolved, "model")
     instances = {inst.id: inst for inst in load_canonical(args.infile)}
     runs = read_jsonl(args.runs)
     use_judge = resolved.get("judge", "off") == "on"
@@ -256,10 +264,7 @@ def _cmd_score(args: argparse.Namespace, config: dict) -> int:
         if pred is not None and not isinstance(pred, str):
             raise MalformedRecordError(args.runs, i, f"answer {pred!r} is not a string or null")
         pred = pred or ""
-        verdict = score_answer(
-            pred, inst.gold_answers, backend=backend, question=inst.question,
-            model_id=resolved.get("model", "default"),
-        )
+        verdict = score_answer(pred, inst.gold_answers, backend, inst.question, model_id)
         scored.append((inst, pred, verdict))
     write_jsonl(out_dir / "scores.jsonl", ({
         "instance_id": inst.id,

@@ -99,7 +99,11 @@ class Usage:
     completion_tokens: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.prompt_tokens, self.cached_prompt_tokens, self.completion_tokens) < 0:
+        counts = (self.prompt_tokens, self.cached_prompt_tokens, self.completion_tokens)
+        # One chained test, since a fixture builds a Usage per entry; bool is not int.
+        if not type(counts[0]) is type(counts[1]) is type(counts[2]) is int:
+            raise ValueError("token counts must be integers")
+        if min(counts) < 0:
             raise ValueError("token counts must be >= 0")
         if self.cached_prompt_tokens > self.prompt_tokens:
             raise ValueError("cached_prompt_tokens cannot exceed prompt_tokens")
@@ -123,30 +127,21 @@ def _json_string_body(s: str) -> bytes:
 
 @dataclass(frozen=True)
 class ChatRequest:
-    messages: tuple[Message, ...]
+    """One rendered prompt, sent to `model_id` as a single system message."""
+
+    prompt: str
     model_id: str = "default"
 
-    def __post_init__(self) -> None:
-        if not self.messages:
-            raise ValueError("message list must be non-empty")
-        if self.messages[0].role != "system":
-            raise ValueError("first message must be the system/instruction message")
+    @property
+    def messages(self) -> tuple[Message]:
+        """The request's wire form: the prompt as the one system message."""
+        return (Message("system", self.prompt),)
 
     def key(self) -> str:
         """Stable digest used by scripted fixtures: the SHA-256 hex digest of
-        the UTF-8 bytes of `json.dumps([model_id, [role, content], ...],
+        the UTF-8 bytes of `json.dumps([model_id, ["system", prompt]],
         ensure_ascii=False)`, hashed without building that string."""
-        h = hashlib.sha256(b'["')
-        h.update(_json_string_body(self.model_id))
-        h.update(b'"')
-        for m in self.messages:
-            h.update(b', ["')
-            h.update(_json_string_body(m.role))
-            h.update(b'", "')
-            h.update(_json_string_body(m.content))
-            h.update(b'"]')
-        h.update(b"]")
-        return h.hexdigest()
+        return _PrefixDigest().key(self)
 
 
 @dataclass(frozen=True)
@@ -171,17 +166,17 @@ _DIGEST_CHUNK = 4096
 
 
 class _PrefixDigest(threading.local):
-    """`ChatRequest.key()` for a stream of requests, resumed from the hash
-    state of the prefix a prompt shares with the previous prompt sent to
-    the same model from the same thread.
+    """The fixture digest of each request in a stream, resumed from the
+    hash state of the prefix a prompt shares with the previous prompt sent
+    to the same model from the same thread; `ChatRequest.key()` is the
+    digest from an empty history.
 
-    A single-message request's digest input is a header naming the model
-    followed by the escaped prompt, and escaping works character by
-    character, so the prompt can be hashed in pieces. Each thread keeps,
-    per model, the previous prompt's whole `_DIGEST_CHUNK`-character
-    chunks with the hash state after each one; a new prompt resumes from
-    the last chunk it repeats at the same offset. Requests with more than
-    one message are hashed by `key()` itself.
+    The digest input is a header naming the model followed by the escaped
+    prompt, and escaping works character by character, so the prompt can
+    be hashed in pieces. Each thread keeps, per model, the previous
+    prompt's whole `_DIGEST_CHUNK`-character chunks with the hash state
+    after each one; a new prompt resumes from the last chunk it repeats at
+    the same offset.
     """
 
     def __init__(self) -> None:  # runs once in each thread that uses it
@@ -189,15 +184,13 @@ class _PrefixDigest(threading.local):
         self.trails: dict[str, list] = {}
 
     def key(self, req: ChatRequest) -> str:
-        if len(req.messages) != 1:
-            return req.key()
         trail = self.trails.get(req.model_id)
-        if trail is None:  # the one message's role is always "system"
+        if trail is None:
             h = hashlib.sha256(b'["')
             h.update(_json_string_body(req.model_id))
             h.update(b'", ["system", "')
             trail = self.trails[req.model_id] = [("", h)]
-        text = req.messages[0].content
+        text = req.prompt
         n = 1
         while n < len(trail) and text.startswith(trail[n][0], (n - 1) * _DIGEST_CHUNK):
             n += 1
@@ -480,7 +473,7 @@ def build_request(
     **values: str,
 ) -> ChatRequest:
     """Render a catalog prompt into a single system-message request."""
-    return ChatRequest(messages=(Message("system", template.render(**values)),), model_id=model_id)
+    return ChatRequest(template.render(**values), model_id=model_id)
 
 
 def ask(backend: Backend, prompt: str, model_id: str, **values: str) -> tuple[str, ChatResponse]:
@@ -490,4 +483,4 @@ def ask(backend: Backend, prompt: str, model_id: str, **values: str) -> tuple[st
     text with the response.
     """
     req = build_request(load_prompt(prompt), model_id=model_id, **values)
-    return req.messages[0].content, backend.complete(req)
+    return req.prompt, backend.complete(req)

@@ -103,8 +103,11 @@ def test_truncated_json_input_error_names_its_path(tmp_path, capsys, which):
     ('[{"text": "ok", "key": ["k"]}]', 0),
     ('[{"text": "ok"}, {"text": "ok", "usage": {"prompt_tok": 1}}]', 1),
     ('[{"text": "ok", "usage": {"prompt_tokens": -1}}]', 0),
+    ('[{"text": "ok", "usage": {"prompt_tokens": 1.5}}]', 0),
+    ('[{"text": "ok", "usage": {"prompt_tokens": true}}]', 0),
+    ('[{"text": "ok", "usage": {"completion_tokens": 2.0}}]', 0),
 ], ids=["empty-object", "object", "number-entry", "no-text", "number-text", "list-key",
-        "unknown-usage-key", "negative-usage"])
+        "unknown-usage-key", "negative-usage", "fractional-usage", "bool-usage", "float-usage"])
 def test_malformed_fixture_error_names_its_path_and_entry(tmp_path, capsys, content, entry):
     fixture = tmp_path / "fx.json"
     fixture.write_text(content)
@@ -137,6 +140,26 @@ def test_bad_backend_spec_is_a_config_error(tmp_path, capsys, key, spec, problem
                  "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [[], ["--dry-run"]], ids=["real", "dry-run"])
+@pytest.mark.parametrize("command, key, value", [
+    (["verify-benchmark"], "model", 5),
+    (["run", "--mode", "safe"], "generator_model", 7),
+    (["run", "--mode", "safe"], "evaluator_model", None),
+], ids=["verify-model", "run-generator-model", "run-evaluator-model"])
+def test_model_id_that_is_not_a_string_is_a_config_error(
+    tmp_path, capsys, monkeypatch, dry_run, command, key, value
+):
+    built = []
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: built.append(spec) or ScriptedBackend())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([*command, "--in", write_corpus(tmp_path / "c.jsonl", [make_instance()]),
+                 "--config", str(cfg), "--out", str(out), *dry_run]) == 1
+    assert capsys.readouterr() == ("", f"error: {key} {value!r} is not a string\n")
+    assert built == [] and not out.exists()
 
 
 @pytest.mark.parametrize("mode, code", [("none", 0), ("self", 0), ("safe", 1)])
@@ -216,6 +239,45 @@ def test_run_dry_run_makes_no_backend_calls(tmp_path, capsys):
     msg = capsys.readouterr().out
     assert "dry-run" in msg
     assert str(10 * 4 * 2 + 1) in msg  # K(N+1) per role + forced answer
+
+
+_PLANNED_COMMANDS = {
+    "verify-deterministic": ["verify-benchmark", "--mode", "deterministic"],
+    "verify-llm": ["verify-benchmark", "--mode", "llm"],
+    "verify-cross-check": ["verify-benchmark", "--mode", "cross-check"],
+    "run-none": ["run", "--mode", "none"],
+    "run-self": ["run", "--mode", "self"],
+    "run-safe": ["run", "--mode", "safe"],
+    "synthesize": ["synthesize"],
+    "score-judge": ["score", "--judge", "on"],
+}
+
+
+@pytest.mark.parametrize("reply", ["not json", "[]", None], ids=["not-json", "empty-list", "transport-error"])
+@pytest.mark.parametrize("command", list(_PLANNED_COMMANDS))
+def test_real_calls_stay_within_the_dry_run_plan(tmp_path, capsys, monkeypatch, command, reply):
+    from fixture_utils import build_instance, load_noise_fixtures
+
+    records = load_noise_fixtures()["grounded"] + load_noise_fixtures()["noise"]
+    argv = [*_PLANNED_COMMANDS[command],
+            "--in", write_corpus(tmp_path / "c.jsonl", map(build_instance, records))]
+    if command == "score-judge":
+        runs = tmp_path / "runs.jsonl"
+        write_jsonl(runs, [{"instance_id": r["id"], "answer": "somewhere"} for r in records])
+        argv += ["--runs", str(runs)]
+    assert main([*argv, "--dry-run", "--out", str(tmp_path / "plan")]) == 0
+    planned = int(re.search(r"at most (\d+) backend requests", capsys.readouterr().out).group(1))
+
+    def respond(req):
+        if reply is None:
+            raise TransportError("backend down", 1)
+        return ChatResponse(text=reply)
+
+    backend = ScriptedBackend(responder=respond)
+    monkeypatch.setattr(cli, "_build_backend", lambda spec: backend)
+    # Exit 0 or 1 (synthesize stops at its first failure); only the count is checked.
+    main([*argv, "--out", str(tmp_path / "out")])
+    assert 0 < backend.calls <= planned
 
 
 def _loop_reply(req):

@@ -33,7 +33,7 @@ from hopcheck.llm_client import (
 
 
 def _req(text="hello"):
-    return ChatRequest(messages=(Message("system", text),))
+    return ChatRequest(text)
 
 
 def test_prompt_catalog_loads_and_renders():
@@ -112,31 +112,20 @@ def test_unknown_prompt_rejected():
 
 
 def test_chat_request_validation_and_key():
-    with pytest.raises(ValueError):
-        ChatRequest(messages=())
-    with pytest.raises(ValueError):
-        ChatRequest(messages=(Message("user", "hi"),))
+    assert _req().messages == (Message("system", "hello"),)
     assert _req().key() == _req().key()
     assert _req("a").key() != _req("b").key()
 
 
 def _reference_key(req):
-    blob = json.dumps(
-        [req.model_id] + [[m.role, m.content] for m in req.messages], ensure_ascii=False
-    )
+    blob = json.dumps([req.model_id, ["system", req.prompt]], ensure_ascii=False)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_chat_request_key_is_pinned():
     # Recorded fixtures are looked up by this digest, so it must never move.
-    req = ChatRequest(
-        messages=(
-            Message("system", "Say \"hi\" to C:\\\\tmp\nthen\ttab\x01 café 😀"),
-            Message("user", "é\\\"😀\n"),
-        ),
-        model_id="m-1",
-    )
-    assert req.key() == "6d9c5749534fa9804f65326304694405ab63d6066c87d08cc34e7fa3f796488a"
+    req = ChatRequest("Say \"hi\" to C:\\\\tmp\nthen\ttab\x01 café 😀é\\\"😀\n", model_id="m-1")
+    assert req.key() == "1c395a60b6e5f30ac499fd593947361e857abc2173d7f0b9df73f53e42a01e78"
     assert req.key() == _reference_key(req)
 
 
@@ -148,16 +137,9 @@ _KEY_TEXT = st.text(
 )
 
 
-@given(
-    _KEY_TEXT,
-    _KEY_TEXT,
-    st.lists(st.tuples(_KEY_TEXT, _KEY_TEXT), max_size=3),
-)
-def test_chat_request_key_matches_json_dumps_reference(model_id, system, rest):
-    req = ChatRequest(
-        messages=(Message("system", system),) + tuple(Message(r, c) for r, c in rest),
-        model_id=model_id,
-    )
+@given(_KEY_TEXT, _KEY_TEXT)
+def test_chat_request_key_matches_json_dumps_reference(model_id, prompt):
+    req = ChatRequest(prompt, model_id=model_id)
     assert req.key() == _reference_key(req)
 
 
@@ -165,7 +147,7 @@ def test_chat_request_key_rejects_lone_surrogate():
     with pytest.raises(UnicodeEncodeError):
         _req("a\ud800b").key()
     with pytest.raises(UnicodeEncodeError):
-        ChatRequest(messages=(Message("system", "x"),), model_id="\udfff").key()
+        ChatRequest("x", model_id="\udfff").key()
 
 
 _CHUNK = llm_client._DIGEST_CHUNK
@@ -176,7 +158,7 @@ _DIGEST_MODELS = ["generator", "evaluator", 'm-"é😀\\']
 _BASE_PROMPT = "".join(f"word{i % 97} " for i in range(4 * _CHUNK // 7))[: 3 * _CHUNK + 100]
 
 _digest_op = st.tuples(
-    st.sampled_from(["single"] * 6 + ["multi", "surrogate"]),
+    st.sampled_from(["single"] * 6 + ["surrogate"]),
     st.sampled_from(_DIGEST_MODELS),
     # Where the model's previous prompt is cut: one character before, at or
     # after a chunk boundary, or anywhere.
@@ -208,29 +190,25 @@ def test_prefix_digest_equals_chat_request_key(ops):
             text = _overwrite(text, boundary * _CHUNK + offset, piece)
         if kind == "surrogate":
             at = min(cut, len(text))
-            req = ChatRequest(messages=(Message("system", text[:at] + "\ud800" + text[at:]),), model_id=model)
+            req = ChatRequest(text[:at] + "\ud800" + text[at:], model_id=model)
             with pytest.raises(UnicodeEncodeError):
                 req.key()
             with pytest.raises(UnicodeEncodeError):
                 digest.key(req)
             continue
-        messages = (Message("system", text),)
-        if kind == "multi":
-            messages += (Message("user", tail),)
-        req = ChatRequest(messages=messages, model_id=model)
-        assert digest.key(req) == req.key()
-        if kind == "single":
-            previous[model] = text
+        req = ChatRequest(text, model_id=model)
+        assert digest.key(req) == req.key() == _reference_key(req)
+        previous[model] = text
 
 
 def test_prefix_digest_hashes_only_what_follows_the_shared_chunks(monkeypatch):
     text = "Say \"hi\" to C:\\\\tmp\nthen\ttab\x01 café 😀" * 300
     digest = llm_client._PrefixDigest()
-    digest.key(ChatRequest(messages=(Message("system", text[: 2 * _CHUNK + 5] + "!"),), model_id="m"))
+    digest.key(ChatRequest(text[: 2 * _CHUNK + 5] + "!", model_id="m"))
     hashed = []
     body = llm_client._json_string_body
     monkeypatch.setattr(llm_client, "_json_string_body", lambda s: hashed.append(s) or body(s))
-    req = ChatRequest(messages=(Message("system", text),), model_id="m")
+    req = ChatRequest(text, model_id="m")
     key = digest.key(req)
     # Two chunks resumed; the rest hashed a chunk at a time.
     assert "".join(hashed) == text[2 * _CHUNK :]
@@ -247,7 +225,7 @@ def test_prefix_digest_keeps_each_calling_thread_apart(monkeypatch):
     digest = llm_client._PrefixDigest()
     text_a = _BASE_PROMPT[: 3 * _CHUNK + 5]
     text_b = _overwrite(text_a, _CHUNK + 10, "thread B")
-    req = lambda text: ChatRequest(messages=(Message("system", text),), model_id="m")
+    req = lambda text: ChatRequest(text, model_id="m")
     body = llm_client._json_string_body
     keys_b = []
 
@@ -276,6 +254,9 @@ def test_usage_invariants():
         Usage(prompt_tokens=1, cached_prompt_tokens=2)
     with pytest.raises(ValueError):
         Usage(prompt_tokens=-1)
+    for counts in ({"prompt_tokens": 1.5}, {"prompt_tokens": True}, {"completion_tokens": 2.0}):
+        with pytest.raises(ValueError, match="integers"):
+            Usage(**counts)
 
 
 def test_scripted_backend_by_key_then_fifo():
